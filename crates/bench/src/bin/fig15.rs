@@ -58,7 +58,7 @@ fn main() {
             .collect();
         let index =
             search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::UnionSubtraction);
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier));
         store.publish(truths.iter().map(|layer| layer[0].clone()).collect());
         let server = RegionServer::new(index, store);
 
@@ -73,7 +73,7 @@ fn main() {
                 total += timing.total();
                 max = max.max(timing.total());
                 terms +=
-                    o4a_core::server::query_combination(server.hierarchy(), server.index(), mask)
+                    o4a_core::server::query_combination(server.hierarchy(), server.source(), mask)
                         .terms
                         .len();
             }

@@ -29,8 +29,9 @@
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{PredictionStore, RegionServer};
+use o4a_core::server::{predict_query_decomposed_view, PredictionStore, RegionServer};
 use o4a_data::synthetic::DatasetKind;
+use o4a_grid::decompose::decompose;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Hierarchy;
 use o4a_nn::blocks::ResBlock;
@@ -245,33 +246,36 @@ fn main() {
         },
     ));
 
-    // Batched region queries on a 32x32, K = 2 pyramid. Two servers share
-    // one published store: the default one answers through compiled plans
-    // (arena gather — a dispatched kernel), the `O4A_COMPILED=0` one runs
-    // the interpreted lookup + `term_value` path the compiled row must be
-    // bit-identical to (asserted before any timing).
+    // Batched region queries on a 32x32, K = 2 pyramid. The server answers
+    // through compiled plans (arena gather — a dispatched kernel); the
+    // interpreted row runs the `predict_query_decomposed_view` oracle
+    // (index lookups + `term_value` per term) over the same snapshot and
+    // pre-decomposed masks. The server row must be bit-identical to the
+    // oracle (asserted before any timing).
     let hier = Hierarchy::new(32, 32, 2, 6).expect("hierarchy");
     let flow = DatasetKind::TaxiNycLike.config(32, 32, 24, 1).generate();
     let slots: Vec<usize> = (16..24).collect();
     let truths = truth_pyramid(&hier, &flow, &slots);
     let index = search_optimal_combinations(&hier, &truths, &truths, SearchStrategy::Union);
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&hier));
     store.publish(truths.iter().map(|layer| layer[0].clone()).collect());
-    std::env::set_var("O4A_COMPILED", "0");
-    let interp_server = RegionServer::new(index.clone(), store.clone());
-    std::env::remove_var("O4A_COMPILED");
+    let snapshot = store.snapshot();
     let server = RegionServer::new(index, store);
     let mut qrng = SeededRng::new(4);
     let masks = task_queries(32, 32, TaskSpec::standard_tasks(150.0)[3], false, &mut qrng);
-    for (got, want) in server
-        .query_many(&masks)
-        .iter()
-        .zip(interp_server.query_many(&masks))
-    {
+    let decomposed: Vec<_> = masks.iter().map(|m| decompose(&hier, m)).collect();
+    let interpreted = || -> Vec<f32> {
+        let view = snapshot.view();
+        decomposed
+            .iter()
+            .map(|g| predict_query_decomposed_view(&hier, server.source(), &view, g))
+            .collect()
+    };
+    for (got, want) in server.query_many(&masks).iter().zip(interpreted()) {
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
-            "compiled query row diverged from the interpreted row; refusing to time"
+            "compiled query row diverged from the interpreted oracle; refusing to time"
         );
     }
     rows.push(measure(
@@ -291,7 +295,7 @@ fn main() {
         prev_t1("query_many_interpreted"),
         IsaPath::None,
         || {
-            black_box(interp_server.query_many(&masks));
+            black_box(interpreted());
         },
     ));
 

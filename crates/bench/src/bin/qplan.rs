@@ -14,10 +14,9 @@
 //! Before any timing, every mask's compiled answer is asserted
 //! bit-identical to the interpreted answer on both storage precisions —
 //! a diverging plan makes the process abort, so a recorded speedup
-//! implies identity held. The end-to-end `RegionServer::query_many` pair
-//! (compiled-enabled vs `O4A_COMPILED=0`) is also timed as a
-//! server-level row; both servers share one decomposition fixture so the
-//! comparison isolates the lookup + aggregation stages.
+//! implies identity held. The end-to-end `RegionServer::query_many` is
+//! also timed as a server-level row against the interpreted oracle loop
+//! over the same masks (its answers asserted bit-identical first).
 //!
 //! `--gate R` exits non-zero if the hot-mask aggregate speedup falls
 //! below `R` (check.sh uses 1.3). `--merge PATH` splices the result into
@@ -145,30 +144,25 @@ fn main() {
         }
     });
 
-    // --- server-level pair: identical fixture, compiled toggled by env ---
+    // --- server level: the engine against the interpreted oracle loop ---
     let store = Arc::new(PredictionStore::for_hierarchy(&hier));
     store.publish_checked(frames).expect("fixture snapshot");
-    std::env::set_var("O4A_COMPILED", "0");
-    let interp_server = RegionServer::new(index.clone(), store.clone());
-    std::env::remove_var("O4A_COMPILED");
-    let compiled_server = RegionServer::new(index.clone(), store.clone());
-    assert!(compiled_server.compiled_enabled() && !interp_server.compiled_enabled());
-    let want = interp_server.query_many(&masks);
-    let got = compiled_server.query_many(&masks);
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+    let server = RegionServer::new(index.clone(), store);
+    let got = server.query_many(&masks);
+    for (i, (g, groups)) in got.iter().zip(&groups).enumerate() {
+        let w = predict_query_decomposed_view(&hier, &index, &view, groups);
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
             "server mask {i}: compiled {g} != interpreted {w}"
         );
     }
-    let serve_interp = time_it(iters, || {
-        black_box(interp_server.query_many(&masks));
-    });
+    // the interpreted side is the oracle loop the f32 aggregate row timed
+    let serve_interp = interp_f32;
     let serve_compiled = time_it(iters, || {
-        black_box(compiled_server.query_many(&masks));
+        black_box(server.query_many(&masks));
     });
-    let (hits, misses, _) = compiled_server.plan_cache_stats();
+    let (hits, misses, _) = server.plan_cache_stats();
     assert!(
         hits > 0 && misses as usize <= HOT_MASKS,
         "hot working set must run as plan-cache hits (hits {hits}, misses {misses})"

@@ -16,11 +16,10 @@
 use o4a_grid::coding::GridCode;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::ExtendedQuadTree;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A signed grid term of a combination: `+1` union, `-1` subtraction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignedCell {
     /// The grid cell.
     pub cell: LayerCell,
@@ -30,7 +29,7 @@ pub struct SignedCell {
 
 /// A combination Λ: a signed set of hierarchical grids whose signed sum
 /// covers a target area (Eq. 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Combination {
     /// Signed terms.
     pub terms: Vec<SignedCell>,
@@ -136,7 +135,7 @@ pub fn signed_sum(values: impl Iterator<Item = f32>) -> f32 {
 }
 
 /// Which combination candidates the offline search considers (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
     /// No search: every decomposed grid predicts at its own scale.
     Direct,

@@ -39,8 +39,11 @@
 //! [`layout_signature`] differs from the hierarchy the plan was compiled
 //! against **and** re-checks `required_len <= data.len()` with a plain
 //! integer compare — the gathers stay in bounds even under a signature
-//! collision. A refused snapshot returns `None` and the caller falls
-//! back to the interpreted path (same answer, slower).
+//! collision. A refused snapshot returns `None`. The serving engine never
+//! sees one: every [`crate::server::PredictionStore`] validates snapshots
+//! against its hierarchy at publish, and the engine asserts at
+//! construction that each store was built for the hierarchy it compiles
+//! against, so it `expect`s the check.
 //!
 //! # Caching and invalidation
 //!
@@ -51,10 +54,10 @@
 //! whose epoch no longer matches is dropped on lookup, so an index swap
 //! can never serve a stale plan. Value refreshes (`publish_checked`)
 //! don't touch the cache at all — execution re-reads the current
-//! snapshot every time, and a layout-changing publish is caught by the
-//! signature check above.
+//! snapshot every time, and a layout-changing publish is rejected by the
+//! store.
 
-use crate::combination::{Combination, CombinationIndex};
+use crate::combination::CombinationIndex;
 use crate::frames::{layout_signature, FrameData, FrameSet};
 use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
@@ -348,46 +351,65 @@ impl PlanBuilder {
     }
 }
 
-/// Compiles a decomposition against a single-model [`CombinationIndex`],
-/// mirroring `evaluate_group`'s branch structure exactly: the multi-grid
-/// entry when the coding rule applies, otherwise the member cells'
-/// combinations in cell order, with the direct-prediction fallback for
-/// cells a foreign index is missing.
-pub fn compile_groups(index: &CombinationIndex, groups: &[DecomposedGroup]) -> CompiledPlan {
-    let hier = &index.hier;
+/// What the one compile walk needs from a served index: its hierarchy and
+/// the terms of each grid. [`CombinationIndex`] puts every term on member
+/// 0; the ensemble crate's `EnsemblePlan` gives each term its own member.
+pub trait PlanSource: Send + Sync {
+    /// The hierarchy queries are decomposed against.
+    fn hierarchy(&self) -> &Hierarchy;
+
+    /// Member prediction stores the terms address (1 for an index).
+    fn num_members(&self) -> usize;
+
+    /// Plan-cache epoch: a compiled plan from another epoch is never
+    /// served. `0` for an index, the plan revision for an ensemble.
+    fn epoch(&self) -> u64;
+
+    /// Pushes the terms of `cell`'s entry into `b`; `false` (nothing
+    /// pushed) when the source has no entry for it.
+    fn push_cell(&self, cell: LayerCell, b: &mut PlanBuilder) -> bool;
+
+    /// Pushes the terms of a multi-grid's entry (a same-parent group of
+    /// 2–3 cells at `layer`); `false` (nothing pushed) when there is none.
+    fn push_multi(&self, layer: usize, cells: &[(usize, usize)], b: &mut PlanBuilder) -> bool;
+
+    /// Registers the source's metrics and returns the handles the query
+    /// engine records its stages into.
+    fn metrics(&self) -> crate::server::StageMetrics;
+}
+
+/// The one compile walk: resolves a decomposition against any
+/// [`PlanSource`], mirroring the interpreted fold's branch structure
+/// exactly — the multi-grid entry when the coding rule applies, otherwise
+/// the member cells' entries in cell order, with member 0's direct
+/// prediction for cells a foreign source is missing.
+pub fn compile<S: PlanSource + ?Sized>(source: &S, groups: &[DecomposedGroup]) -> CompiledPlan {
+    let hier = source.hierarchy();
     let mut b = PlanBuilder::new(hier);
     for group in groups {
-        if group.cells.len() >= 2 && hier.k() == 2 {
-            if let Some(comb) = index.for_multi(group.layer, &group.cells) {
-                for t in &comb.terms {
-                    b.push_term(t.cell, t.sign, 0);
-                }
-                b.end_run();
-                b.end_group(true);
-                continue;
-            }
+        if group.cells.len() >= 2
+            && hier.k() == 2
+            && source.push_multi(group.layer, &group.cells, &mut b)
+        {
+            b.end_run();
+            b.end_group(true);
+            continue;
         }
         for &(r, c) in &group.cells {
             let cell = LayerCell::new(group.layer, r, c);
-            match index.for_cell(cell) {
-                Some(comb) => {
-                    for t in &comb.terms {
-                        b.push_term(t.cell, t.sign, 0);
-                    }
-                }
-                None => {
-                    // foreign index: direct prediction, as the interpreter
-                    let single = Combination::single(cell);
-                    for t in &single.terms {
-                        b.push_term(t.cell, t.sign, 0);
-                    }
-                }
+            if !source.push_cell(cell, &mut b) {
+                b.push_term(cell, 1, 0);
             }
             b.end_run();
         }
         b.end_group(false);
     }
     b.finish()
+}
+
+/// [`compile`] against a single-model [`CombinationIndex`].
+pub fn compile_groups(index: &CombinationIndex, groups: &[DecomposedGroup]) -> CompiledPlan {
+    compile(index, groups)
 }
 
 /// Compiled plans a cache may key on: a raw mask (the region-server entry

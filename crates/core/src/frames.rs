@@ -20,9 +20,9 @@
 //!
 //! Every snapshot carries a [`layout_signature`] over its layer lengths.
 //! Compiled plans record the signature of the hierarchy they were built
-//! against and refuse (fall back to the interpreted path) when a snapshot
-//! disagrees — that check, plus an exact `required_len <= data.len()`
-//! comparison, is what makes the unchecked hardware gathers sound.
+//! against and refuse a snapshot that disagrees — that check, plus an
+//! exact `required_len <= data.len()` comparison, is what makes the
+//! unchecked hardware gathers sound.
 //!
 //! [`FrameView`] is the borrowed form the evaluation paths consume; the
 //! legacy `FrameView::F32(&[Vec<f32>])` variant keeps the f32 public APIs

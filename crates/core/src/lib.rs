@@ -22,7 +22,8 @@
 //! 3. **Modifiable areal units prediction** ([`server`]) — the online
 //!    phase: hierarchical decomposition of region queries (Algorithm 1),
 //!    grid indexing, and aggregation of indexed optimal combinations over
-//!    a shared prediction store (the paper's HBase stand-in).
+//!    a shared prediction store (the paper's HBase stand-in), run by one
+//!    query engine for single-model indexes and ensemble plans alike.
 //!
 //! [`one4all::One4AllSt`] ties everything together behind the
 //! `PyramidPredictor` interface shared with the baselines.
@@ -46,6 +47,6 @@ pub use combination::{Combination, CombinationIndex, SearchStrategy, SignedCell}
 pub use network::{NetworkConfig, One4AllNet};
 pub use one4all::One4AllSt;
 pub use server::{
-    DecompCache, ModelServer, PredictionStore, PublishError, QueryBackend, QueryTiming,
-    RegionServer,
+    DecompCache, ModelServer, PredictionStore, PublishError, QueryBackend, QueryEngine,
+    QueryTiming, RegionServer, StageMetrics, StoreSet,
 };

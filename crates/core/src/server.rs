@@ -8,16 +8,19 @@
 //!
 //! Answering a region query costs *decomposition + index lookups +
 //! aggregation* and never re-runs the model, which is what keeps response
-//! times in the low milliseconds (Fig. 15).
+//! times in the low milliseconds (Fig. 15). One [`QueryEngine`] runs that
+//! path for every served index: [`RegionServer`] is the engine over a
+//! single model's [`CombinationIndex`], and the ensemble crate's
+//! `EnsembleServer` is the same engine over an `EnsemblePlan`.
 
 use crate::combination::{Combination, CombinationIndex};
-use crate::compiled::{compile_groups, with_scratch, CompiledPlan, PlanCache};
+use crate::compiled::{compile, with_scratch, CompiledPlan, PlanBuilder, PlanCache, PlanSource};
 use crate::frames::{FrameSet, FrameView};
 use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::mask::Mask;
+use o4a_obs::Histogram;
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +28,8 @@ use std::time::{Duration, Instant};
 
 /// Evaluates one decomposed group against per-layer frames using the
 /// index: multi-grids hit their own entry (if the coding rule applies),
-/// everything else unions its member cells' optimal combinations.
+/// everything else unions its member cells' optimal combinations. The
+/// interpreted oracle the compiled engine is proven bit-identical to.
 fn evaluate_group(
     hier: &Hierarchy,
     index: &CombinationIndex,
@@ -50,70 +54,6 @@ fn evaluate_group(
             }
         })
         .sum()
-}
-
-/// One decomposed group's resolved index lookups, separated from their
-/// evaluation so the timed query paths can report the lookup and
-/// aggregation stages individually. Evaluating a plan reproduces
-/// [`evaluate_group`]'s accumulation order exactly — the multi-grid entry
-/// when the coding rule applies, otherwise the member cells' combinations
-/// in cell order (owned fallback for cells a foreign index is missing).
-enum GroupPlan<'a> {
-    Multi(&'a Combination),
-    Cells(Vec<Cow<'a, Combination>>),
-}
-
-fn lookup_group<'a>(
-    hier: &Hierarchy,
-    index: &'a CombinationIndex,
-    group: &DecomposedGroup,
-) -> GroupPlan<'a> {
-    if group.cells.len() >= 2 && hier.k() == 2 {
-        if let Some(comb) = index.for_multi(group.layer, &group.cells) {
-            return GroupPlan::Multi(comb);
-        }
-    }
-    GroupPlan::Cells(
-        group
-            .cells
-            .iter()
-            .map(|&(r, c)| {
-                let cell = LayerCell::new(group.layer, r, c);
-                match index.for_cell(cell) {
-                    Some(comb) => Cow::Borrowed(comb),
-                    None => Cow::Owned(Combination::single(cell)),
-                }
-            })
-            .collect(),
-    )
-}
-
-fn evaluate_plan(hier: &Hierarchy, frames: &FrameView<'_>, plan: &GroupPlan<'_>) -> f32 {
-    match plan {
-        GroupPlan::Multi(comb) => comb.evaluate_frames(hier, frames),
-        GroupPlan::Cells(combs) => combs.iter().map(|c| c.evaluate_frames(hier, frames)).sum(),
-    }
-}
-
-/// Records one query's per-stage wall times into the global metrics
-/// registry (nanosecond histograms scraped through the serve layer's
-/// `METRICS` verb).
-fn record_query_stages(decompose: Duration, lookup: Duration, aggregate: Duration) {
-    o4a_obs::histogram!(
-        "o4a_query_decompose_ns",
-        "per-query hierarchical decomposition time (memo lookup on a cache hit)"
-    )
-    .record(decompose.as_nanos() as u64);
-    o4a_obs::histogram!(
-        "o4a_query_lookup_ns",
-        "per-query combination-index lookup time"
-    )
-    .record(lookup.as_nanos() as u64);
-    o4a_obs::histogram!(
-        "o4a_query_aggregate_ns",
-        "per-query signed aggregation time over the prediction snapshot"
-    )
-    .record(aggregate.as_nanos() as u64);
 }
 
 /// Predicts a region query from per-layer frames: hierarchical
@@ -241,15 +181,19 @@ impl std::error::Error for PublishError {}
 /// server refreshes it at preset intervals; region servers read it
 /// lock-free-ish via an `Arc` swap.
 ///
+/// Every store is built for one hierarchy and rejects snapshots of any
+/// other shape at publish, so a published snapshot always matches the
+/// layout a [`QueryEngine`] compiled its plans against.
+///
 /// Snapshots default to f32 storage. [`PredictionStore::set_half_storage`]
 /// switches subsequent publishes to IEEE binary16 frames — half the
 /// resident bytes, values widened per read during aggregation, with the
 /// per-term error bound documented in [`crate::frames`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PredictionStore {
     frames: RwLock<Arc<FrameSet>>,
-    /// Expected flat length per layer; `None` for an unchecked store.
-    expected: Option<Vec<usize>>,
+    /// Flat length per layer of the hierarchy the store was built for.
+    expected: Vec<usize>,
     /// When set, publishes narrow the snapshot to f16 storage.
     half: AtomicBool,
     /// Optional name (typically the member model served), included in the
@@ -259,22 +203,12 @@ pub struct PredictionStore {
 }
 
 impl PredictionStore {
-    /// Creates an empty store that accepts snapshots of any shape.
-    pub fn new() -> Self {
-        PredictionStore {
-            frames: RwLock::new(Arc::new(FrameSet::default())),
-            expected: None,
-            half: AtomicBool::new(false),
-            label: None,
-        }
-    }
-
     /// Creates a store that only accepts snapshots shaped like `hier`
     /// (one frame per layer, each with that layer's cell count).
     pub fn for_hierarchy(hier: &Hierarchy) -> Self {
         PredictionStore {
             frames: RwLock::new(Arc::new(FrameSet::default())),
-            expected: Some((0..hier.num_layers()).map(|l| hier.layer_len(l)).collect()),
+            expected: layer_lens(hier),
             half: AtomicBool::new(false),
             label: None,
         }
@@ -309,11 +243,14 @@ impl PredictionStore {
         self.half.load(Ordering::Relaxed)
     }
 
+    /// Whether the store was built for `hier`'s layer layout.
+    pub fn is_for(&self, hier: &Hierarchy) -> bool {
+        self.expected == layer_lens(hier)
+    }
+
     /// Checks a snapshot against the expected shape without publishing.
     pub fn validate(&self, frames: &[Vec<f32>]) -> Result<(), PublishError> {
-        let Some(expected) = &self.expected else {
-            return Ok(());
-        };
+        let expected = &self.expected;
         if frames.len() != expected.len() {
             return Err(PublishError::LayerCount {
                 got: frames.len(),
@@ -347,10 +284,9 @@ impl PredictionStore {
         Ok(())
     }
 
-    /// Publishes a new multi-scale snapshot (`frames[layer]` flat). On a
-    /// checked store ([`PredictionStore::for_hierarchy`]) a malformed
-    /// snapshot is error-logged and dropped — readers keep the previous
-    /// snapshot instead of serving garbage.
+    /// Publishes a new multi-scale snapshot (`frames[layer]` flat). A
+    /// malformed snapshot is error-logged and dropped — readers keep the
+    /// previous snapshot instead of serving garbage.
     pub fn publish(&self, frames: Vec<Vec<f32>>) {
         if let Err(e) = self.publish_checked(frames) {
             o4a_obs::counter!(
@@ -384,6 +320,11 @@ impl PredictionStore {
     pub fn is_ready(&self) -> bool {
         !self.frames.read().is_empty()
     }
+}
+
+/// Flat cell count of each layer of `hier`.
+fn layer_lens(hier: &Hierarchy) -> Vec<usize> {
+    (0..hier.num_layers()).map(|l| hier.layer_len(l)).collect()
 }
 
 /// The model-server side of the online phase (Fig. 4): wraps a trained
@@ -435,14 +376,6 @@ impl<P: o4a_models::multiscale::PyramidPredictor> ModelServer<P> {
 /// bounding memory for adversarial mask streams.
 const DECOMP_CACHE_CAP: usize = 256;
 
-/// Whether the compiled query path is enabled for new servers:
-/// `O4A_COMPILED=0` turns it off (every query interprets), anything else
-/// leaves it on. Results are bit-identical either way; the knob exists
-/// for A/B benchmarking and incident bisection.
-fn compiled_path_enabled() -> bool {
-    std::env::var("O4A_COMPILED").map_or(true, |v| v != "0")
-}
-
 /// An LRU memo of mask → hierarchical decomposition.
 ///
 /// Decomposition depends only on the mask (never on the snapshot), so a
@@ -451,8 +384,8 @@ fn compiled_path_enabled() -> bool {
 /// past capacity evict the stalest entry. Hit/miss counters are surfaced
 /// through the serving layer's STATS verb.
 ///
-/// Public so other query backends (the ensemble server) reuse the exact
-/// memo the [`RegionServer`] runs; internals stay private.
+/// Public so the shard router reuses the exact memo the [`QueryEngine`]
+/// runs; internals stay private.
 #[derive(Debug)]
 pub struct DecompCache {
     /// `(entries keyed by mask -> (groups, last-use stamp), clock)`.
@@ -568,21 +501,70 @@ impl DecompCache {
         groups
     }
 }
+/// Metric handles a [`QueryEngine`] records into, taken once at
+/// construction from its [`PlanSource`]. The single-model and ensemble
+/// namespaces stay distinct (`o4a_query_*` vs `o4a_ensemble_*`).
+pub struct StageMetrics {
+    /// Per-query decomposition time (memo lookup on a cache hit).
+    pub decompose: Arc<Histogram>,
+    /// Per-query plan-cache lookup (and compile on a miss) time.
+    pub lookup: Arc<Histogram>,
+    /// Per-query compiled aggregation time.
+    pub aggregate: Arc<Histogram>,
+    /// Per member: terms read from that member per execution. Empty when
+    /// the source does not export them.
+    pub member_terms: Vec<Arc<Histogram>>,
+}
 
-/// The online region-query server: decomposition + quad-tree index +
-/// prediction store, with an LRU memo of mask decompositions and a
-/// snapshot-versioned cache of compiled query plans
-/// ([`crate::compiled`]). Setting `O4A_COMPILED=0` disables the compiled
-/// path (every query interprets), for A/B benchmarking — results are
-/// bit-identical either way.
-pub struct RegionServer {
-    hier: Hierarchy,
-    index: CombinationIndex,
-    store: Arc<PredictionStore>,
-    decomp_cache: DecompCache,
-    plan_cache: PlanCache,
-    compiled_terms: AtomicU64,
-    compiled_enabled: bool,
+impl PlanSource for CombinationIndex {
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.hier
+    }
+
+    fn num_members(&self) -> usize {
+        1
+    }
+
+    fn epoch(&self) -> u64 {
+        0
+    }
+
+    fn push_cell(&self, cell: LayerCell, b: &mut PlanBuilder) -> bool {
+        push_combination(self.for_cell(cell), b)
+    }
+
+    fn push_multi(&self, layer: usize, cells: &[(usize, usize)], b: &mut PlanBuilder) -> bool {
+        push_combination(self.for_multi(layer, cells), b)
+    }
+
+    fn metrics(&self) -> StageMetrics {
+        let reg = o4a_obs::global();
+        StageMetrics {
+            decompose: reg.histogram(
+                "o4a_query_decompose_ns",
+                "per-query hierarchical decomposition time (memo lookup on a cache hit)",
+            ),
+            lookup: reg.histogram(
+                "o4a_query_lookup_ns",
+                "per-query combination-index lookup time",
+            ),
+            aggregate: reg.histogram(
+                "o4a_query_aggregate_ns",
+                "per-query signed aggregation time over the prediction snapshot",
+            ),
+            member_terms: Vec::new(),
+        }
+    }
+}
+
+fn push_combination(comb: Option<&Combination>, b: &mut PlanBuilder) -> bool {
+    let Some(comb) = comb else {
+        return false;
+    };
+    for t in &comb.terms {
+        b.push_term(t.cell, t.sign, 0);
+    }
+    true
 }
 
 /// Estimated pool-cost units (~scalar flop equivalents) of answering one
@@ -593,28 +575,71 @@ pub struct RegionServer {
 /// the `query_many_batch` regression in BENCH_kernels.json.
 const QUERY_COST: usize = 8192;
 
-impl RegionServer {
-    /// Creates a server over a searched index and a prediction store.
-    pub fn new(index: CombinationIndex, store: Arc<PredictionStore>) -> Self {
+/// Why the engine may `expect` compiled execution to succeed.
+const LAYOUT_INVARIANT: &str =
+    "stores validate every publish against the engine's hierarchy, so the snapshot layout matches";
+
+/// The prediction stores an engine reads, one per plan member. Converts
+/// from a single store (a single-model index) or a member list (an
+/// ensemble plan).
+pub struct StoreSet(Vec<Arc<PredictionStore>>);
+
+impl From<Arc<PredictionStore>> for StoreSet {
+    fn from(store: Arc<PredictionStore>) -> Self {
+        StoreSet(vec![store])
+    }
+}
+
+impl From<Vec<Arc<PredictionStore>>> for StoreSet {
+    fn from(stores: Vec<Arc<PredictionStore>>) -> Self {
+        StoreSet(stores)
+    }
+}
+
+/// The online query engine: decomposition memo, snapshot-versioned cache
+/// of compiled plans ([`crate::compiled`]) and one [`PredictionStore`] per
+/// member of its [`PlanSource`]. Every query runs the same path —
+/// decompose, look up (or compile) the plan, execute it against one
+/// consistent snapshot set — and reports its stage times.
+pub struct QueryEngine<S> {
+    source: S,
+    stores: Vec<Arc<PredictionStore>>,
+    decomp_cache: DecompCache,
+    plan_cache: PlanCache,
+    compiled_terms: AtomicU64,
+    metrics: StageMetrics,
+}
+
+/// The single-model region server: a [`QueryEngine`] over a searched
+/// [`CombinationIndex`] and one prediction store.
+pub type RegionServer = QueryEngine<CombinationIndex>;
+
+impl<S: PlanSource> QueryEngine<S> {
+    /// Creates an engine over a plan source and its stores (`stores[m]`
+    /// backs member `m`).
+    ///
+    /// # Panics
+    /// Panics when the store count disagrees with the source's members,
+    /// or when a store was built for another hierarchy.
+    pub fn new(source: S, stores: impl Into<StoreSet>) -> Self {
+        let StoreSet(stores) = stores.into();
+        assert_eq!(
+            stores.len(),
+            source.num_members(),
+            "one prediction store per plan member"
+        );
+        assert!(!stores.is_empty(), "plan has no members");
+        assert!(
+            stores.iter().all(|s| s.is_for(source.hierarchy())),
+            "prediction store was built for a different hierarchy"
+        );
         // Resolve the kernel ISA dispatch now so the o4a_isa_* gauges are
         // registered before the first scrape (and the choice is logged
         // during server bring-up rather than mid-query).
         let _ = o4a_tensor::isa::active();
-        // Pre-register the query-path metrics so a scrape before the
-        // first query already exposes the stage histograms and memo
-        // counters at zero (no samples are recorded here).
-        let _ = o4a_obs::histogram!(
-            "o4a_query_decompose_ns",
-            "per-query hierarchical decomposition time (memo lookup on a cache hit)"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_query_lookup_ns",
-            "per-query combination-index lookup time"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_query_aggregate_ns",
-            "per-query signed aggregation time over the prediction snapshot"
-        );
+        // Pre-register the cache metrics so a scrape before the first
+        // query already exposes them at zero (no samples are recorded
+        // here).
         let _ = o4a_obs::counter!(
             "o4a_decomp_cache_hits_total",
             "decomposition-memo hits across all region servers"
@@ -644,370 +669,227 @@ impl RegionServer {
             "o4a_compiled_terms",
             "resolved terms per compiled query execution"
         );
-        RegionServer {
-            hier: index.hier.clone(),
-            index,
-            store,
+        let metrics = source.metrics();
+        QueryEngine {
+            source,
+            stores,
             decomp_cache: DecompCache::new(),
             plan_cache: PlanCache::new(),
             compiled_terms: AtomicU64::new(0),
-            compiled_enabled: compiled_path_enabled(),
+            metrics,
         }
     }
 
-    /// `(hits, misses)` of the decomposition memo since the server was
+    /// The served plan source (the index or the ensemble plan).
+    pub fn source(&self) -> &S {
+        &self.source
+    }
+
+    /// The member stores, in plan order (the serving layer polls their
+    /// readiness before admitting traffic).
+    pub fn stores(&self) -> &[Arc<PredictionStore>] {
+        &self.stores
+    }
+
+    /// The hierarchy served.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        self.source.hierarchy()
+    }
+
+    /// Whether every member store has published a snapshot — the serving
+    /// layer admits traffic only once the *whole* plan is live, so a query
+    /// never mixes a real member snapshot with an empty one.
+    pub fn is_ready(&self) -> bool {
+        self.stores.iter().all(|s| s.is_ready())
+    }
+
+    /// `(hits, misses)` of the decomposition memo since the engine was
     /// created. Surfaced by the serving layer's STATS verb.
     pub fn decomp_cache_stats(&self) -> (u64, u64) {
         self.decomp_cache.stats()
     }
 
     /// `(hits, misses, evictions)` of the compiled-plan cache since the
-    /// server was created. Surfaced by the serving layer's STATS verb.
+    /// engine was created. Surfaced by the serving layer's STATS verb.
     pub fn plan_cache_stats(&self) -> (u64, u64, u64) {
         self.plan_cache.stats()
     }
 
-    /// Total terms answered through the compiled path since start.
+    /// Total terms executed since start.
     pub fn compiled_terms(&self) -> u64 {
         self.compiled_terms.load(Ordering::Relaxed)
     }
 
-    /// Whether the compiled query path is active (`O4A_COMPILED` unset or
-    /// not `0`).
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled_enabled
+    /// One consistent snapshot per member, taken up front.
+    ///
+    /// # Panics
+    /// Panics if a member store has no published snapshot.
+    fn snapshots(&self) -> Vec<Arc<FrameSet>> {
+        let snaps: Vec<Arc<FrameSet>> = self.stores.iter().map(|s| s.snapshot()).collect();
+        assert!(
+            snaps.iter().all(|s| !s.is_empty()),
+            "no prediction snapshot published"
+        );
+        snaps
     }
 
-    /// Bumps the compiled-terms counter and histogram after a successful
-    /// compiled execution.
-    fn note_compiled(&self, terms: usize) {
-        self.compiled_terms
-            .fetch_add(terms as u64, Ordering::Relaxed);
+    /// Counts one execution's terms: the engine total, the
+    /// compiled-terms histogram and, when the source exports them, the
+    /// per-member histograms.
+    fn note_terms<'p>(&self, plans: impl Iterator<Item = &'p CompiledPlan> + Clone) {
+        let terms: u64 = plans.clone().map(|p| p.num_terms() as u64).sum();
+        self.compiled_terms.fetch_add(terms, Ordering::Relaxed);
         o4a_obs::histogram!(
             "o4a_compiled_terms",
             "resolved terms per compiled query execution"
         )
-        .record(terms as u64);
+        .record(terms);
+        for (m, hist) in self.metrics.member_terms.iter().enumerate() {
+            let member = |p: &CompiledPlan| p.member_terms().get(m).map_or(0, |&t| t as u64);
+            hist.record(plans.clone().map(member).sum());
+        }
     }
 
-    /// Answers one decomposed query against `frames` without stage
-    /// timing: the compiled path when it's enabled and the plan matches
-    /// the snapshot layout, the interpreter otherwise — bit-identical
-    /// either way.
-    fn answer_value(
-        &self,
-        mask: Option<&Mask>,
-        groups: &[DecomposedGroup],
-        frames: &FrameSet,
-        view: &FrameView<'_>,
-    ) -> f32 {
-        if self.compiled_enabled {
-            let plan = match mask {
-                Some(m) => self
-                    .plan_cache
-                    .get_or_compile_mask(m, 0, || compile_groups(&self.index, groups)),
-                None => self
-                    .plan_cache
-                    .get_or_compile_groups(groups, 0, || compile_groups(&self.index, groups)),
-            };
-            if let Some(v) = with_scratch(|s| plan.execute_sum(&[frames], s)) {
-                self.note_compiled(plan.num_terms());
-                return v;
-            }
-        }
-        predict_query_decomposed_view(&self.hier, &self.index, view, groups)
-    }
-
-    /// [`RegionServer::answer_value`] with per-stage durations: returns
-    /// `(value, lookup, aggregate)` where lookup covers plan-cache
-    /// get-or-compile (or interpreted index lookups) and aggregate covers
-    /// execution — so `lookup + aggregate` is the exact index time.
-    fn answer_timed(
-        &self,
-        mask: Option<&Mask>,
-        groups: &[DecomposedGroup],
-        frames: &FrameSet,
-        view: &FrameView<'_>,
-    ) -> (f32, Duration, Duration) {
-        let mut lookup_acc = Duration::ZERO;
-        if self.compiled_enabled {
-            let t1 = Instant::now();
-            let plan = match mask {
-                Some(m) => self
-                    .plan_cache
-                    .get_or_compile_mask(m, 0, || compile_groups(&self.index, groups)),
-                None => self
-                    .plan_cache
-                    .get_or_compile_groups(groups, 0, || compile_groups(&self.index, groups)),
-            };
-            lookup_acc += t1.elapsed();
-            let t2 = Instant::now();
-            if let Some(v) = with_scratch(|s| plan.execute_sum(&[frames], s)) {
-                self.note_compiled(plan.num_terms());
-                return (v, lookup_acc, t2.elapsed());
-            }
-            // snapshot layout drifted from the hierarchy (loose store):
-            // the failed attempt counts toward lookup, then interpret
-            lookup_acc += t2.elapsed();
-        }
+    /// The query path: decompose the mask (memo), look up or compile its
+    /// plan, execute it against `snaps`. Records the three stage times
+    /// and returns the value with the decomposition and index
+    /// (lookup + aggregate) times.
+    fn answer(&self, mask: &Mask, snaps: &[&FrameSet]) -> (f32, Duration, Duration) {
+        let t0 = Instant::now();
+        let groups = self.decomp_cache.get(self.hierarchy(), mask);
         let t1 = Instant::now();
-        let plans: Vec<GroupPlan<'_>> = groups
-            .iter()
-            .map(|g| lookup_group(&self.hier, &self.index, g))
-            .collect();
-        lookup_acc += t1.elapsed();
+        let plan = self
+            .plan_cache
+            .get_or_compile_mask(mask, self.source.epoch(), || compile(&self.source, &groups));
         let t2 = Instant::now();
-        let v: f32 = plans
-            .iter()
-            .map(|p| evaluate_plan(&self.hier, view, p))
-            .sum();
-        (v, lookup_acc, t2.elapsed())
+        let value = with_scratch(|s| plan.execute_sum(snaps, s)).expect(LAYOUT_INVARIANT);
+        self.note_terms(std::iter::once(&*plan));
+        let t3 = Instant::now();
+        let (decompose, lookup, aggregate) = (t1 - t0, t2 - t1, t3 - t2);
+        // Stage histograms are lock-free atomics, safe to bump from
+        // inside pool tasks.
+        self.metrics.decompose.record(decompose.as_nanos() as u64);
+        self.metrics.lookup.record(lookup.as_nanos() as u64);
+        self.metrics.aggregate.record(aggregate.as_nanos() as u64);
+        (value, decompose, lookup + aggregate)
     }
 
-    fn decomposed(&self, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
-        self.decomp_cache.get(&self.hier, mask)
-    }
-
-    /// The hierarchy served.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hier
-    }
-
-    /// The underlying index.
-    pub fn index(&self) -> &CombinationIndex {
-        &self.index
-    }
-
-    /// The prediction store queries are answered from (the serving layer
-    /// polls its readiness before admitting traffic).
-    pub fn store(&self) -> &Arc<PredictionStore> {
-        &self.store
-    }
-
-    /// Answers a region query against the latest published snapshot.
+    /// Answers a region query against the latest published snapshots.
     ///
     /// # Panics
-    /// Panics if no snapshot has been published yet.
+    /// Panics if a member store has no published snapshot.
     pub fn query(&self, mask: &Mask) -> f32 {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let groups = self.decomposed(mask);
-        let view = frames.view();
-        self.answer_value(Some(mask), &groups, &frames, &view)
+        self.query_timed(mask).0
     }
 
     /// Answers a query and reports the timing breakdown. The decomposition
     /// stage reports the memo lookup time — near zero on a cache hit. The
-    /// three internal stages (decompose, index lookup, aggregation) are
+    /// three internal stages (decompose, plan lookup, aggregation) are
     /// also recorded into the global metrics registry; `QueryTiming.index`
     /// stays the exact sum of the lookup and aggregation stages.
-    pub fn query_timed(&self, mask: &Mask) -> (f32, QueryTiming) {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
-        let t0 = Instant::now();
-        let groups = self.decomposed(mask);
-        let decompose_t = t0.elapsed();
-        let (value, lookup_t, aggregate_t) = self.answer_timed(Some(mask), &groups, &frames, &view);
-        record_query_stages(decompose_t, lookup_t, aggregate_t);
-        (
-            value,
-            QueryTiming {
-                decompose: decompose_t,
-                index: lookup_t + aggregate_t,
-            },
-        )
-    }
-
-    /// Answers a batch of queries.
-    ///
-    /// Takes **one** snapshot up front — the whole batch is answered
-    /// against a consistent set of predictions even if the model server
-    /// publishes mid-batch (per-mask [`RegionServer::query`] could mix two
-    /// snapshots across the batch) — then fans the masks out across the
-    /// compute pool in [`o4a_tensor::parallel`]. Each task decomposes,
-    /// looks up and aggregates one mask into its own output slot, so the
-    /// result vector is identical to the serial loop. The per-mask
-    /// [`QUERY_COST`] estimate keeps small batches on the caller thread:
-    /// below the pool's adaptive cutoff the wake-up would cost more than
-    /// the whole batch.
     ///
     /// # Panics
-    /// Panics if no snapshot has been published yet.
+    /// Panics if a member store has no published snapshot.
+    pub fn query_timed(&self, mask: &Mask) -> (f32, QueryTiming) {
+        let (values, timing) = self.query_many_timed(std::slice::from_ref(mask));
+        (values[0], timing)
+    }
+
+    /// Answers a batch of queries; [`QueryEngine::query_many_timed`]
+    /// without the timing.
+    ///
+    /// # Panics
+    /// Panics if a member store has no published snapshot.
     pub fn query_many(&self, masks: &[Mask]) -> Vec<f32> {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
+        self.query_many_timed(masks).0
+    }
+
+    /// Answers a batch of queries with the aggregate timing breakdown.
+    ///
+    /// Takes **one** snapshot per member up front — the whole batch is
+    /// answered against a consistent snapshot set even if a model server
+    /// publishes mid-batch — then fans the masks out across the compute
+    /// pool in [`o4a_tensor::parallel`]. Each task answers one mask into
+    /// its own output slot, so the result vector is identical to the
+    /// serial loop. The per-mask [`QUERY_COST`] estimate keeps small
+    /// batches on the caller thread: below the pool's adaptive cutoff the
+    /// wake-up would cost more than the whole batch. Stage times are
+    /// measured inside each task and summed, so the timing is total CPU
+    /// time per stage (wall time is lower when several workers run).
+    ///
+    /// # Panics
+    /// Panics if a member store has no published snapshot.
+    pub fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
+        let snaps = self.snapshots();
+        let refs: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
         let mut out = vec![0.0f32; masks.len()];
+        let (dec_ns, idx_ns) = (AtomicU64::new(0), AtomicU64::new(0));
         let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
         o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            let groups = self.decomposed(&masks[i]);
-            let v = self.answer_value(Some(&masks[i]), &groups, &frames, &view);
+            let (v, decompose, index) = self.answer(&masks[i], &refs);
+            dec_ns.fetch_add(decompose.as_nanos() as u64, Ordering::Relaxed);
+            idx_ns.fetch_add(index.as_nanos() as u64, Ordering::Relaxed);
             // SAFETY: task `i` writes only slot `i`; `out` outlives the
             // blocking `run` call.
             unsafe { out_ptr.slice_mut(i, 1)[0] = v };
         });
-        out
-    }
-
-    /// Like [`RegionServer::query_many`] but also reports the aggregate
-    /// timing breakdown over the batch: the per-mask decomposition and
-    /// lookup/aggregation times are measured inside each parallel task and
-    /// summed, so the result is total CPU time spent in each stage (wall
-    /// time is lower when the fan-out runs on several workers).
-    ///
-    /// # Panics
-    /// Panics if no snapshot has been published yet.
-    pub fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
-        let mut out = vec![0.0f32; masks.len()];
-        let mut dec_ns = vec![0u64; masks.len()];
-        let mut idx_ns = vec![0u64; masks.len()];
-        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
-        let dec_ptr = o4a_tensor::parallel::SendPtr(dec_ns.as_mut_ptr());
-        let idx_ptr = o4a_tensor::parallel::SendPtr(idx_ns.as_mut_ptr());
-        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            let t0 = Instant::now();
-            let groups = self.decomposed(&masks[i]);
-            let decompose_t = t0.elapsed();
-            let (v, lookup_t, aggregate_t) =
-                self.answer_timed(Some(&masks[i]), &groups, &frames, &view);
-            // Stage histograms are lock-free atomics, safe to bump from
-            // inside pool tasks.
-            record_query_stages(decompose_t, lookup_t, aggregate_t);
-            // SAFETY: task `i` writes only slot `i` of each vector; all
-            // three outlive the blocking `run` call.
-            unsafe {
-                out_ptr.slice_mut(i, 1)[0] = v;
-                dec_ptr.slice_mut(i, 1)[0] = decompose_t.as_nanos() as u64;
-                idx_ptr.slice_mut(i, 1)[0] = (lookup_t + aggregate_t).as_nanos() as u64;
-            }
-        });
         let timing = QueryTiming {
-            decompose: Duration::from_nanos(dec_ns.iter().sum()),
-            index: Duration::from_nanos(idx_ns.iter().sum()),
+            decompose: Duration::from_nanos(dec_ns.into_inner()),
+            index: Duration::from_nanos(idx_ns.into_inner()),
         };
         (out, timing)
     }
 
     /// Evaluates already-decomposed groups against one consistent
-    /// snapshot, returning one value per group — the shard-serving entry
-    /// point. A shard router splits a mask's decomposition by ownership,
-    /// calls this on each shard, and folds the per-group values back in
-    /// decompose order; because each group's accumulation is
-    /// self-contained (see [`evaluate_group`]) the merged sum is
-    /// bit-identical to the unsharded [`RegionServer::query`].
-    /// `QueryTiming.decompose` is zero — decomposition happened at the
-    /// router.
+    /// snapshot set, returning one value per group — the shard-serving
+    /// entry point. A shard router splits a mask's decomposition by
+    /// ownership, calls this on each shard, and folds the per-group
+    /// values back in decompose order; because each group's accumulation
+    /// is self-contained the merged sum is bit-identical to the unsharded
+    /// [`QueryEngine::query`]. `QueryTiming.decompose` is zero —
+    /// decomposition happened at the router.
     ///
     /// # Panics
-    /// Panics if no snapshot has been published yet.
+    /// Panics if a member store has no published snapshot.
     pub fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
+        let snaps = self.snapshots();
+        let refs: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
         // this runs on the caller's thread, so a sharded request's trace
         // id (set by the executor) is visible here for stage spans
         let tid = o4a_obs::trace::current();
         let t1 = Instant::now();
-        let t1_ns = if tid != 0 {
-            o4a_obs::trace::now_ns()
-        } else {
-            0
-        };
-        // lookup stage: per-group plan-cache get-or-compile on the
-        // compiled path — a shard's slice is a batch-dependent
-        // concatenation of many masks' groups, so a whole-slice key would
-        // almost never repeat, while individual groups recur across
-        // batches — per-group index lookups on the interpreted one
-        let compiled: Option<Vec<Arc<CompiledPlan>>> = if self.compiled_enabled {
-            Some(
-                groups
-                    .iter()
-                    .map(|g| {
-                        let one = std::slice::from_ref(g);
-                        self.plan_cache
-                            .get_or_compile_groups(one, 0, || compile_groups(&self.index, one))
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut plans: Vec<GroupPlan<'_>> = Vec::new();
-        if compiled.is_none() {
-            plans = groups
-                .iter()
-                .map(|g| lookup_group(&self.hier, &self.index, g))
-                .collect();
-        }
+        let t1_ns = trace_now(tid);
+        // lookup stage: one cached plan per group — a shard's slice is a
+        // batch-dependent concatenation of many masks' groups, so a
+        // whole-slice key would almost never repeat, while individual
+        // groups recur across batches
+        let epoch = self.source.epoch();
+        let plans: Vec<Arc<CompiledPlan>> = groups
+            .iter()
+            .map(|g| {
+                let one = std::slice::from_ref(g);
+                self.plan_cache
+                    .get_or_compile_groups(one, epoch, || compile(&self.source, one))
+            })
+            .collect();
         let lookup_t = t1.elapsed();
-        if tid != 0 {
-            o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
-                trace_id: tid,
-                span: o4a_obs::trace::SpanKind::Lookup as u16,
-                parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
-                lane: 0,
-                t_start_ns: t1_ns,
-                t_end_ns: o4a_obs::trace::now_ns(),
-                bytes: groups.len() as u64,
-            });
-        }
+        emit_stage(tid, o4a_obs::trace::SpanKind::Lookup, t1_ns, groups.len());
         let t2 = Instant::now();
-        let t2_ns = if tid != 0 {
-            o4a_obs::trace::now_ns()
-        } else {
-            0
-        };
-        let mut values: Option<Vec<f32>> = None;
-        if let Some(cplans) = &compiled {
-            let mut out = Vec::with_capacity(cplans.len());
-            let mut terms = 0usize;
-            let ok = with_scratch(|s| {
-                for plan in cplans {
-                    match plan.execute_one(&[&*frames], s) {
-                        Some(v) => {
-                            out.push(v);
-                            terms += plan.num_terms();
-                        }
-                        None => return false,
-                    }
-                }
-                true
-            });
-            if ok {
-                self.note_compiled(terms);
-                values = Some(out);
-            }
-        }
-        let values: Vec<f32> = values.unwrap_or_else(|| {
-            // interpreted fallback (compiled disabled, or the snapshot's
-            // layout drifted from the hierarchy on a loose store)
-            if plans.is_empty() && !groups.is_empty() {
-                plans = groups
-                    .iter()
-                    .map(|g| lookup_group(&self.hier, &self.index, g))
-                    .collect();
-            }
+        let t2_ns = trace_now(tid);
+        let values: Vec<f32> = with_scratch(|s| {
             plans
                 .iter()
-                .map(|p| evaluate_plan(&self.hier, &view, p))
+                .map(|p| p.execute_one(&refs, s).expect(LAYOUT_INVARIANT))
                 .collect()
         });
+        self.note_terms(plans.iter().map(|p| &**p));
         let aggregate_t = t2.elapsed();
-        if tid != 0 {
-            o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
-                trace_id: tid,
-                span: o4a_obs::trace::SpanKind::Aggregate as u16,
-                parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
-                lane: 0,
-                t_start_ns: t2_ns,
-                t_end_ns: o4a_obs::trace::now_ns(),
-                bytes: groups.len() as u64,
-            });
-        }
+        emit_stage(
+            tid,
+            o4a_obs::trace::SpanKind::Aggregate,
+            t2_ns,
+            groups.len(),
+        );
         (
             values,
             QueryTiming {
@@ -1018,11 +900,35 @@ impl RegionServer {
     }
 }
 
-/// What the serving layer needs from a query engine: the [`RegionServer`]
-/// (one model, one index) and the ensemble server (a persisted
-/// [(model, Combination)] plan over several member stores) both answer
-/// region queries as pure lookup + aggregate, so `o4a_serve` runs either
-/// behind this trait without knowing which.
+/// The trace clock when the request is sampled (`tid != 0`), else 0.
+fn trace_now(tid: u64) -> u64 {
+    if tid != 0 {
+        o4a_obs::trace::now_ns()
+    } else {
+        0
+    }
+}
+
+/// Emits one shard-leg stage span from `start_ns` to now for a sampled
+/// request.
+fn emit_stage(tid: u64, span: o4a_obs::trace::SpanKind, start_ns: u64, groups: usize) {
+    if tid != 0 {
+        o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
+            trace_id: tid,
+            span: span as u16,
+            parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
+            lane: 0,
+            t_start_ns: start_ns,
+            t_end_ns: o4a_obs::trace::now_ns(),
+            bytes: groups as u64,
+        });
+    }
+}
+
+/// What the serving layer needs from a query backend: a [`QueryEngine`]
+/// (over an index or an ensemble plan) and the sharded router both answer
+/// region queries as pure lookup + aggregate, so `o4a_serve` runs any of
+/// them behind this trait without knowing which.
 pub trait QueryBackend: Send + Sync {
     /// The hierarchy queries are decomposed against.
     fn hierarchy(&self) -> &Hierarchy;
@@ -1054,8 +960,8 @@ pub trait QueryBackend: Send + Sync {
         (0, 0, 0)
     }
 
-    /// Total terms answered through the compiled path since start; `0`
-    /// for a backend without one.
+    /// Total terms executed since start; `0` for a backend without a
+    /// compiled path.
     fn compiled_terms(&self) -> u64 {
         0
     }
@@ -1074,33 +980,37 @@ pub trait QueryBackend: Send + Sync {
     }
 }
 
-impl QueryBackend for RegionServer {
+impl<S: PlanSource> QueryBackend for QueryEngine<S> {
     fn hierarchy(&self) -> &Hierarchy {
-        RegionServer::hierarchy(self)
+        QueryEngine::hierarchy(self)
     }
 
     fn is_ready(&self) -> bool {
-        self.store.is_ready()
+        QueryEngine::is_ready(self)
     }
 
     fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
-        RegionServer::query_many_timed(self, masks)
+        QueryEngine::query_many_timed(self, masks)
     }
 
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        RegionServer::query_groups_timed(self, groups)
+        QueryEngine::query_groups_timed(self, groups)
     }
 
     fn decomp_cache_stats(&self) -> (u64, u64) {
-        RegionServer::decomp_cache_stats(self)
+        QueryEngine::decomp_cache_stats(self)
     }
 
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        RegionServer::plan_cache_stats(self)
+        QueryEngine::plan_cache_stats(self)
     }
 
     fn compiled_terms(&self) -> u64 {
-        RegionServer::compiled_terms(self)
+        QueryEngine::compiled_terms(self)
+    }
+
+    fn plan_revision(&self) -> u64 {
+        self.source.epoch()
     }
 }
 
@@ -1155,41 +1065,46 @@ mod tests {
         }
     }
 
+    /// A snapshot for `hier4` whose every layer holds `v`.
+    fn constant_frames(v: f32) -> Vec<Vec<f32>> {
+        vec![vec![v; 16], vec![v; 4], vec![v; 1]]
+    }
+
     #[test]
     fn store_publish_snapshot() {
-        let store = PredictionStore::new();
+        let store = PredictionStore::for_hierarchy(&hier4());
         assert!(!store.is_ready());
-        store.publish(vec![vec![1.0, 2.0]]);
+        store.publish(constant_frames(1.0));
         assert!(store.is_ready());
-        assert_eq!(store.snapshot().layer_to_f32(0), vec![1.0, 2.0]);
+        assert_eq!(store.snapshot().layer_to_f32(2), vec![1.0]);
         // publishing again swaps the snapshot
-        store.publish(vec![vec![3.0]]);
-        assert_eq!(store.snapshot().layer_to_f32(0), vec![3.0]);
+        store.publish(constant_frames(3.0));
+        assert_eq!(store.snapshot().layer_to_f32(2), vec![3.0]);
     }
 
     #[test]
     fn half_storage_narrows_subsequent_publishes() {
-        let store = PredictionStore::new();
+        let store = PredictionStore::for_hierarchy(&hier4());
         assert!(!store.half_storage());
-        store.publish(vec![vec![1.5, -2.25]]);
+        store.publish(constant_frames(-2.25));
         assert!(!store.snapshot().is_half());
         store.set_half_storage(true);
         // the already-published snapshot is untouched until the next swap
         assert!(!store.snapshot().is_half());
-        store.publish(vec![vec![1.5, -2.25]]);
+        store.publish(constant_frames(-2.25));
         let snap = store.snapshot();
         assert!(snap.is_half());
-        // these values are f16-exact, so storage is lossless here
-        assert_eq!(snap.layer_to_f32(0), vec![1.5, -2.25]);
+        // this value is f16-exact, so storage is lossless here
+        assert_eq!(snap.layer_to_f32(1), vec![-2.25; 4]);
         store.set_half_storage(false);
-        store.publish(vec![vec![4.0]]);
+        store.publish(constant_frames(4.0));
         assert!(!store.snapshot().is_half());
     }
 
     #[test]
     fn server_query_and_timing() {
         let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames);
         let server = RegionServer::new(index, store);
         let mask = Mask::rect(4, 4, 0, 0, 2, 4);
@@ -1224,7 +1139,7 @@ mod tests {
             steps_per_day: 4,
             days_per_week: 2,
         };
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         let mut server = ModelServer::new(
             AggregatingPyramid::new(HistoryMean::new(1, 1, 1), hier.clone()),
             store.clone(),
@@ -1270,10 +1185,15 @@ mod tests {
             .publish_checked(vec![vec![2.0; 16], vec![2.0; 4], vec![2.0; 1]])
             .unwrap();
         assert!(store.is_ready());
-        // an unchecked store still accepts anything (back-compat)
-        let loose = PredictionStore::new();
-        loose.publish_checked(vec![vec![0.0; 5]]).unwrap();
-        assert!(loose.is_ready());
+        assert!(store.is_for(&hier) && !store.is_for(&Hierarchy::new(8, 8, 2, 3).unwrap()));
+    }
+
+    #[test]
+    #[should_panic(expected = "built for a different hierarchy")]
+    fn engine_rejects_a_store_for_another_hierarchy() {
+        let (_, index, _) = exact_setup();
+        let other = Hierarchy::new(8, 8, 2, 3).unwrap();
+        RegionServer::new(index, Arc::new(PredictionStore::for_hierarchy(&other)));
     }
 
     #[test]
@@ -1294,7 +1214,7 @@ mod tests {
     #[test]
     fn region_server_is_a_query_backend() {
         let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames);
         let server = RegionServer::new(index, store);
         let backend: &dyn QueryBackend = &server;
@@ -1310,7 +1230,7 @@ mod tests {
     #[test]
     fn query_many_timed_matches_query_many() {
         let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames);
         let server = RegionServer::new(index, store);
         let masks = vec![
@@ -1322,13 +1242,13 @@ mod tests {
         let (timed, timing) = server.query_many_timed(&masks);
         assert_eq!(plain, timed);
         assert!(timing.total() >= timing.decompose);
-        assert!(server.store().is_ready());
+        assert!(server.is_ready());
     }
 
     #[test]
     fn decomp_cache_counts_hits_and_misses() {
         let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames);
         let server = RegionServer::new(index, store);
         let a = Mask::rect(4, 4, 0, 0, 2, 2);
@@ -1352,7 +1272,7 @@ mod tests {
     #[test]
     fn decomp_cache_evicts_at_capacity() {
         let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames);
         let server = RegionServer::new(index, store);
         // 4x4 raster has 100 distinct rectangles — cycle enough distinct
@@ -1376,21 +1296,21 @@ mod tests {
     #[should_panic(expected = "no prediction snapshot")]
     fn query_before_publish_panics() {
         let (_, index, _) = exact_setup();
-        let server = RegionServer::new(index, Arc::new(PredictionStore::new()));
+        let server = RegionServer::new(index, Arc::new(PredictionStore::for_hierarchy(&hier4())));
         server.query(&Mask::rect(4, 4, 0, 0, 1, 1));
     }
 
     #[test]
     fn concurrent_publish_and_query() {
         let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames.clone());
         let server = Arc::new(RegionServer::new(index, store.clone()));
         let mask = Mask::rect(4, 4, 0, 0, 2, 2);
-        crossbeam_scope(&server, &store, &mask, frames);
+        publish_while_querying(&server, &store, &mask, frames);
     }
 
-    fn crossbeam_scope(
+    fn publish_while_querying(
         server: &Arc<RegionServer>,
         store: &Arc<PredictionStore>,
         mask: &Mask,

@@ -159,11 +159,9 @@ fn publish_checked_never_serves_stale_values_through_the_plan_cache() {
     let after = server.query(&mask);
     let (h1, m1, _) = server.plan_cache_stats();
 
-    if server.compiled_enabled() {
-        assert_eq!(m1, m0, "same mask + layout must not recompile");
-        assert_eq!(h1, h0 + 1, "second query must hit the plan cache");
-        assert!(server.compiled_terms() > 0, "compiled path must have run");
-    }
+    assert_eq!(m1, m0, "same mask + layout must not recompile");
+    assert_eq!(h1, h0 + 1, "second query must hit the plan cache");
+    assert!(server.compiled_terms() > 0, "compiled path must have run");
     let want =
         predict_query_decomposed_view(hier, index, &FrameSet::from_f32(frames2).view(), &groups);
     assert_eq!(
@@ -178,46 +176,58 @@ fn publish_checked_never_serves_stale_values_through_the_plan_cache() {
     );
 }
 
-/// A loose (`PredictionStore::new`) store may publish a snapshot whose
-/// layer layout differs from the compiling hierarchy; the cached plan's
-/// layout signature then mismatches and execution must fall back to the
-/// interpreter rather than gather through stale offsets.
-#[test]
-fn layout_change_on_a_loose_store_falls_back_to_interpreted() {
-    let (hier, index) = fixture();
-    let frames = seeded_frames(hier, 3);
-    let store = Arc::new(PredictionStore::new());
-    store.publish(frames.clone());
-    let server = RegionServer::new(index.clone(), store.clone());
-    let mask = Mask::rect(SIDE, SIDE, 2, 0, 8, 5);
-
-    let before = server.query(&mask);
-    let terms_before = server.compiled_terms();
-
-    // same values, each layer padded with trailing zeros: every index the
-    // interpreter reads is unchanged, but the layout signature is not
-    let padded: Vec<Vec<f32>> = frames
+/// Same values, each layer padded with a trailing zero: every cell the
+/// interpreter reads is unchanged, but the layer layout is not.
+fn padded(frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    frames
         .iter()
         .map(|l| {
             let mut l = l.clone();
             l.push(0.0);
             l
         })
-        .collect();
-    store.publish(padded);
-    let after = server.query(&mask);
+        .collect()
+}
 
+/// A snapshot whose layout differs from the hierarchy is rejected at
+/// publish, so the engine keeps answering the previous snapshot — bit
+/// for bit, through the plans it already compiled.
+#[test]
+fn padded_snapshot_is_rejected_at_publish_and_the_previous_one_keeps_serving() {
+    let (hier, index) = fixture();
+    let frames = seeded_frames(hier, 3);
+    let store = Arc::new(PredictionStore::for_hierarchy(hier));
+    store.publish(frames.clone());
+    let server = RegionServer::new(index.clone(), store.clone());
+    let mask = Mask::rect(SIDE, SIDE, 2, 0, 8, 5);
+    let before = server.query(&mask);
+
+    assert!(store.publish_checked(padded(&frames)).is_err());
+    store.publish(padded(&frames));
+    assert_eq!(store.snapshot().layer_len(0), SIDE * SIDE);
     assert_eq!(
-        after.to_bits(),
+        server.query(&mask).to_bits(),
         before.to_bits(),
-        "interpreted fallback must read the same cells as before padding"
+        "a rejected publish must leave the served snapshot untouched"
     );
-    if server.compiled_enabled() {
-        assert!(terms_before > 0, "pre-padding query must have compiled");
-        assert_eq!(
-            server.compiled_terms(),
-            terms_before,
-            "a mismatched layout signature must not execute compiled"
-        );
+    let (_, misses, _) = server.plan_cache_stats();
+    assert_eq!(misses, 1, "the compiled plan keeps serving");
+}
+
+/// The layout check that keeps the unchecked gathers sound still refuses
+/// a frame set the plan was not compiled for.
+#[test]
+fn execute_refuses_a_frame_set_with_another_layout() {
+    let (hier, index) = fixture();
+    let frames = seeded_frames(hier, 4);
+    let groups = decompose(hier, &Mask::rect(SIDE, SIDE, 2, 0, 8, 5));
+    let plan = compile_groups(index, &groups);
+    let good = FrameSet::from_f32(frames.clone());
+    assert!(with_scratch(|s| plan.execute_sum(&[&good], s)).is_some());
+    for fs in [
+        FrameSet::from_f32(padded(&frames)),
+        FrameSet::narrow(padded(&frames)),
+    ] {
+        assert_eq!(with_scratch(|s| plan.execute_sum(&[&fs], s)), None);
     }
 }

@@ -79,7 +79,7 @@ fn half_storage_queries_stay_within_documented_bound() {
     let index =
         search_optimal_combinations(&hier, &preds, &preds, SearchStrategy::UnionSubtraction);
 
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&hier));
     store.publish(frames.clone());
     let server = RegionServer::new(index, store.clone());
 
@@ -123,7 +123,7 @@ fn half_storage_queries_stay_within_documented_bound() {
 
         // the documented bound: sum_t 2^-11 |v_t| + T * 2^-25, plus the
         // f32 summation rounding of the perturbed terms
-        let terms = query_terms(&hier, server.index(), mask);
+        let terms = query_terms(&hier, server.source(), mask);
         assert!(!terms.is_empty());
         let mut bound = 0.0f64;
         let mut sum_abs = 0.0f64;

@@ -5,7 +5,7 @@
 //! hierarchy layer on the aggregated flows and feed the per-scale
 //! predictions into the optimal-combination machinery. That is exactly
 //! [`MultiScaleEnsemble`]; training parallelizes across layers with
-//! crossbeam scoped threads (the models are independent).
+//! scoped threads (the models are independent).
 
 use crate::predictor::{DeepGridModel, Predictor, TrainConfig, TrainStats};
 use crate::st_resnet::StResNetLite;
@@ -127,21 +127,20 @@ impl PyramidPredictor for MultiScaleEnsemble {
     ) -> TrainStats {
         let pyramid = flow.pyramid(&self.hier);
         // train layers in parallel — the models are fully independent
-        let stats: Vec<TrainStats> = crossbeam::thread::scope(|scope| {
+        let stats: Vec<TrainStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .models
                 .iter_mut()
                 .zip(&pyramid)
                 .map(|(model, layer_flow)| {
-                    scope.spawn(move |_| model.fit(layer_flow, cfg, train_targets))
+                    scope.spawn(move || model.fit(layer_flow, cfg, train_targets))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("layer training panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope");
+        });
         // the paper's Table II reports the *total* cost of the per-scale
         // models, so sum across layers
         TrainStats {

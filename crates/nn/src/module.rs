@@ -17,8 +17,7 @@ use o4a_tensor::Tensor;
 ///    a missing cache because that is a programming error in the caller.
 ///
 /// Modules are `Send` so multi-scale ensembles can train one model per
-/// hierarchy layer on worker threads (crossbeam scoped threads in
-/// `o4a-models`).
+/// hierarchy layer on worker threads (scoped threads in `o4a-models`).
 pub trait Module: Send {
     /// Forward pass. Caches intermediates needed by [`Module::backward`].
     fn forward(&mut self, input: &Tensor) -> Tensor;

@@ -48,16 +48,12 @@
 //! (`trace_shards_seen`). `--trace-out PATH` additionally writes the raw
 //! Chrome trace-event JSON for `chrome://tracing` / Perfetto.
 //!
-//! Usage:
-//!   cargo run -p o4a-serve --release --bin loadgen -- \
-//!     [--addr 127.0.0.1:7474 | --addr-file PATH] [--threads 4] [--secs 2] \
-//!     [--batch 0] [--zipf S] [--hot-masks N] [--diurnal RPS] \
-//!     [--out BENCH_serve.json] [--metrics-out PATH] [--trace-sample N] \
-//!     [--trace-out PATH]
+//! Usage: `--help` prints the flags (the `USAGE` text below).
 
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Mask;
 use o4a_obs::Histogram;
+use o4a_serve::cli::{flag_value, usage_exit};
 use o4a_serve::{Client, ClientConfig, ClientError};
 use o4a_tensor::SeededRng;
 use std::cmp::Reverse;
@@ -76,6 +72,14 @@ const RESERVOIR_PER_THREAD: usize = 4096;
 
 /// Peak-to-mean swing of the diurnal arrival shape.
 const DIURNAL_AMPLITUDE: f64 = 0.75;
+
+const USAGE: &str = "\
+Usage:
+  cargo run -p o4a-serve --release --bin loadgen -- \\
+    [--addr 127.0.0.1:7474 | --addr-file PATH] [--threads 4] [--secs 2] \\
+    [--batch 0] [--zipf S] [--hot-masks N] [--diurnal RPS] \\
+    [--out BENCH_serve.json] [--metrics-out PATH] [--trace-sample N] \\
+    [--trace-out PATH]";
 
 struct Args {
     addr: Option<String>,
@@ -113,28 +117,21 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
         match flag.as_str() {
-            "--addr" => args.addr = Some(value("--addr")),
-            "--addr-file" => args.addr_file = Some(PathBuf::from(value("--addr-file"))),
-            "--threads" => args.threads = value("--threads").parse().expect("--threads"),
-            "--secs" => args.secs = value("--secs").parse().expect("--secs"),
-            "--batch" => args.batch = value("--batch").parse().expect("--batch"),
-            "--zipf" => args.zipf = Some(value("--zipf").parse().expect("--zipf")),
-            "--hot-masks" => {
-                args.hot_masks = Some(value("--hot-masks").parse().expect("--hot-masks"))
-            }
-            "--diurnal" => args.diurnal = Some(value("--diurnal").parse().expect("--diurnal")),
-            "--out" => args.out = PathBuf::from(value("--out")),
-            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-            "--trace-sample" => {
-                args.trace_sample = value("--trace-sample").parse().expect("--trace-sample")
-            }
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out"))),
-            other => panic!("unknown flag {other}"),
+            "--addr" => args.addr = Some(flag_value(USAGE, &flag, it.next())),
+            "--addr-file" => args.addr_file = Some(flag_value(USAGE, &flag, it.next())),
+            "--threads" => args.threads = flag_value(USAGE, &flag, it.next()),
+            "--secs" => args.secs = flag_value(USAGE, &flag, it.next()),
+            "--batch" => args.batch = flag_value(USAGE, &flag, it.next()),
+            "--zipf" => args.zipf = Some(flag_value(USAGE, &flag, it.next())),
+            "--hot-masks" => args.hot_masks = Some(flag_value(USAGE, &flag, it.next())),
+            "--diurnal" => args.diurnal = Some(flag_value(USAGE, &flag, it.next())),
+            "--out" => args.out = flag_value(USAGE, &flag, it.next()),
+            "--metrics-out" => args.metrics_out = Some(flag_value(USAGE, &flag, it.next())),
+            "--trace-sample" => args.trace_sample = flag_value(USAGE, &flag, it.next()),
+            "--trace-out" => args.trace_out = Some(flag_value(USAGE, &flag, it.next())),
+            "--help" => usage_exit(USAGE, ""),
+            other => usage_exit(USAGE, &format!("unknown flag {other}")),
         }
     }
     args

@@ -26,13 +26,7 @@
 //! masks (the process panics on any divergence, so a sharded timing run
 //! implies identity held). `--loops N` runs N epoll event-loop threads.
 //!
-//! Usage:
-//!   cargo run -p o4a-serve --release --bin serve -- \
-//!     [--addr 127.0.0.1:7474] [--addr-file PATH] [--side 32] [--layers N] \
-//!     [--index PATH] [--model PATH] [--artifacts target/serve-artifacts] \
-//!     [--ensemble N] [--workers 2] [--window-us 500] [--queue-cap 1024] \
-//!     [--max-batch 256] [--shards 1] [--loops 1] [--run-secs S] \
-//!     [--decomp-cache N] [--trace-every N] [--trace-slow-us US]
+//! Usage: `--help` prints the flags (the `USAGE` text below).
 //!
 //! `--trace-every N` samples every Nth query into the trace flight
 //! recorder (drained by the `TRACE` verb; equivalent to `O4A_TRACE=N`),
@@ -55,11 +49,21 @@ use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Hierarchy;
 use o4a_models::multiscale::PyramidPredictor;
 use o4a_models::predictor::TrainConfig;
+use o4a_serve::cli::{flag_value, usage_exit};
 use o4a_serve::{serve, ServeConfig, ShardRouter};
 use o4a_tensor::SeededRng;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+const USAGE: &str = "\
+Usage:
+  cargo run -p o4a-serve --release --bin serve -- \\
+    [--addr 127.0.0.1:7474] [--addr-file PATH] [--side 32] [--layers N] \\
+    [--index PATH] [--model PATH] [--artifacts target/serve-artifacts] \\
+    [--ensemble N] [--workers 2] [--window-us 500] [--queue-cap 1024] \\
+    [--max-batch 256] [--shards 1] [--loops 1] [--run-secs S] \\
+    [--decomp-cache N] [--trace-every N] [--trace-slow-us US]";
 
 struct Args {
     addr: String,
@@ -105,38 +109,28 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr"),
-            "--addr-file" => args.addr_file = Some(PathBuf::from(value("--addr-file"))),
-            "--side" => args.side = value("--side").parse().expect("--side"),
-            "--layers" => args.layers = Some(value("--layers").parse().expect("--layers")),
-            "--index" => args.index = Some(PathBuf::from(value("--index"))),
-            "--model" => args.model = Some(PathBuf::from(value("--model"))),
-            "--artifacts" => args.artifacts = PathBuf::from(value("--artifacts")),
-            "--ensemble" => args.ensemble = Some(value("--ensemble").parse().expect("--ensemble")),
-            "--workers" => args.workers = value("--workers").parse().expect("--workers"),
-            "--window-us" => args.window_us = value("--window-us").parse().expect("--window-us"),
-            "--queue-cap" => args.queue_cap = value("--queue-cap").parse().expect("--queue-cap"),
-            "--max-batch" => args.max_batch = value("--max-batch").parse().expect("--max-batch"),
-            "--shards" => args.shards = value("--shards").parse().expect("--shards"),
-            "--loops" => args.loops = value("--loops").parse().expect("--loops"),
-            "--run-secs" => args.run_secs = Some(value("--run-secs").parse().expect("--run-secs")),
-            "--decomp-cache" => {
-                args.decomp_cache = Some(value("--decomp-cache").parse().expect("--decomp-cache"))
-            }
-            "--trace-every" => {
-                args.trace_every = Some(value("--trace-every").parse().expect("--trace-every"))
-            }
-            "--trace-slow-us" => {
-                args.trace_slow_us =
-                    Some(value("--trace-slow-us").parse().expect("--trace-slow-us"))
-            }
+            "--addr" => args.addr = flag_value(USAGE, &flag, it.next()),
+            "--addr-file" => args.addr_file = Some(flag_value(USAGE, &flag, it.next())),
+            "--side" => args.side = flag_value(USAGE, &flag, it.next()),
+            "--layers" => args.layers = Some(flag_value(USAGE, &flag, it.next())),
+            "--index" => args.index = Some(flag_value(USAGE, &flag, it.next())),
+            "--model" => args.model = Some(flag_value(USAGE, &flag, it.next())),
+            "--artifacts" => args.artifacts = flag_value(USAGE, &flag, it.next()),
+            "--ensemble" => args.ensemble = Some(flag_value(USAGE, &flag, it.next())),
+            "--workers" => args.workers = flag_value(USAGE, &flag, it.next()),
+            "--window-us" => args.window_us = flag_value(USAGE, &flag, it.next()),
+            "--queue-cap" => args.queue_cap = flag_value(USAGE, &flag, it.next()),
+            "--max-batch" => args.max_batch = flag_value(USAGE, &flag, it.next()),
+            "--shards" => args.shards = flag_value(USAGE, &flag, it.next()),
+            "--loops" => args.loops = flag_value(USAGE, &flag, it.next()),
+            "--run-secs" => args.run_secs = Some(flag_value(USAGE, &flag, it.next())),
+            "--decomp-cache" => args.decomp_cache = Some(flag_value(USAGE, &flag, it.next())),
+            "--trace-every" => args.trace_every = Some(flag_value(USAGE, &flag, it.next())),
+            "--trace-slow-us" => args.trace_slow_us = Some(flag_value(USAGE, &flag, it.next())),
             "--synthetic" => {} // accepted for clarity; synthetic is the default without --index
-            other => panic!("unknown flag {other}"),
+            "--help" => usage_exit(USAGE, ""),
+            other => usage_exit(USAGE, &format!("unknown flag {other}")),
         }
     }
     args

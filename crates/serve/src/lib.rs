@@ -41,6 +41,7 @@
 //! coalescing/backpressure semantics and the shard-routing exactness
 //! argument.
 
+pub mod cli;
 pub mod client;
 pub mod evio;
 pub mod router;

@@ -125,7 +125,7 @@ fn served_ensemble_batches_bit_match_in_process() {
 #[test]
 fn stats_report_active_plan_revision() {
     let (server, handle) = start();
-    assert_eq!(server.plan().revision, REVISION);
+    assert_eq!(server.source().revision, REVISION);
     let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
     let health = client.health().unwrap();
     assert!(health.ready, "all members published -> backend ready");

@@ -22,10 +22,9 @@
 //! quad-tree is keyed by these paths.
 
 use crate::hierarchy::{Hierarchy, LayerCell};
-use serde::{Deserialize, Serialize};
 
 /// A child code within a parent grid (merging window 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum ChildCode {
     A,
@@ -150,7 +149,7 @@ impl std::fmt::Display for ChildCode {
 /// quad-tree: the first element addresses a cell of the *second-coarsest*
 /// layer within its coarsest-layer root, and so on downward. Only the last
 /// element may be a multi code.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GridCode {
     /// The coarsest-layer root cell this path starts from.
     pub root: (usize, usize),

@@ -6,10 +6,8 @@
 //! has cells of side `K^l` atomic grids. The *hierarchical structure* `P` is
 //! the set of scales `{1, K, K^2, ...}`.
 
-use serde::{Deserialize, Serialize};
-
 /// A cell within a specific layer of the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerCell {
     /// Layer index: 0 is the atomic raster, `num_layers() - 1` the coarsest.
     pub layer: usize,
@@ -41,7 +39,7 @@ impl LayerCell {
 /// assert_eq!(h.scales(), vec![1, 2, 4, 8, 16, 32]);
 /// assert_eq!(h.layer_dims(5), (4, 4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     h: usize,
     w: usize,

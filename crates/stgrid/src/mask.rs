@@ -1,14 +1,12 @@
 //! Rasterized regions as binary assignment matrices (Definition 4).
 
-use serde::{Deserialize, Serialize};
-
 /// A binary mask over the atomic raster: the assignment matrix `A^R` of a
 /// rasterized region.
 ///
 /// `Hash` hashes the dimensions and bit vector, consistently with `Eq`, so
 /// masks can key memo tables (the region server's decomposition cache and
 /// the compiled-plan cache).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mask {
     h: usize,
     w: usize,

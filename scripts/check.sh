@@ -7,11 +7,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release
+# --workspace also builds the bench and serve binaries the smokes below
+# run (a bare build at the root builds only the root package).
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The bare command above tests only the root package; the core, ensemble,
+# serve, tensor and vendored-shim suites run here.
+echo "==> cargo test --workspace --release -q"
+cargo test --workspace --release -q
 
 # The scalar dispatch tier must stay bit-identical to the SIMD tiers on
 # every host (the O4A_ISA contract). Re-run the kernel identity proptests

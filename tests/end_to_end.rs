@@ -67,7 +67,7 @@ fn build_pipeline() -> Pipeline {
         .map(|mut v| v.remove(0))
         .collect();
     let layer_totals: Vec<f32> = frames.iter().map(|f| f.iter().sum()).collect();
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&index.hier));
     store.publish(frames.clone());
     Pipeline {
         flow,
@@ -162,15 +162,15 @@ fn pyramid_predictions_are_internally_consistent() {
 fn server_roundtrips_through_codec() {
     use one4all_st::core::codec::{decode_index, encode_index};
     let p = pipeline();
-    let bytes = encode_index(p.server.index());
+    let bytes = encode_index(p.server.source());
     let decoded = decode_index(&bytes).expect("codec roundtrip");
     // the decoded index answers queries identically
     let frames = &p.frames;
     let mut qrng = SeededRng::new(8);
     for q in tract_queries(16, 16, 10, &mut qrng) {
         let a = one4all_st::core::server::predict_query(
-            &p.server.index().hier,
-            p.server.index(),
+            &p.server.source().hier,
+            p.server.source(),
             frames,
             &q,
         );
