@@ -65,7 +65,7 @@ use o4a_grid::mask::Mask;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -469,14 +469,13 @@ struct PlanEntry {
     plan: Arc<CompiledPlan>,
 }
 
-/// Default compiled plans retained. Larger than the decomposition
-/// memo's 256: the unsharded entry points cache one plan per hot *mask*,
-/// but the shard scatter leg caches one plan per decomposed *group*, and
-/// a mask working set fans out to roughly an order of magnitude more
-/// distinct groups (the serve fixture's 138-mask pool yields ~1.4k).
-/// Single-group plans are a few hundred bytes, so the headroom costs
-/// ~1-2 MB while an undersized LRU over a scanning working set evicts on
-/// every miss.
+/// Default compiled plans retained. The unsharded entry points cache one
+/// plan per hot *mask*, but the shard scatter leg caches one plan per
+/// decomposed *group*, and a mask working set fans out to roughly an
+/// order of magnitude more distinct groups (the serve fixture's 138-mask
+/// pool yields ~1.4k). Single-group plans are a few hundred bytes, so the
+/// headroom costs ~1-2 MB while an undersized LRU over a scanning working
+/// set evicts on every miss.
 const PLAN_CACHE_CAP: usize = 4096;
 
 /// A snapshot-versioned LRU of compiled plans, bucketed by key hash with
@@ -487,14 +486,51 @@ const PLAN_CACHE_CAP: usize = 4096;
 /// different epoch drops the entry and reports a miss — `publish_checked`
 /// index swaps can never serve a stale plan. Capacity comes from
 /// `O4A_PLAN_CACHE` (default 4096); inserts past capacity evict the
-/// least-recently-used entry.
+/// least-recently-used entry, found through a stamp-ordered index rather
+/// than a scan, so a miss costs O(log entries) however full the cache is.
 pub struct PlanCache {
-    /// `(hash -> entries, LRU clock)`.
-    map: Mutex<(HashMap<u64, Vec<PlanEntry>>, u64)>,
+    lru: Mutex<Lru>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+}
+
+/// The cache state behind the lock.
+#[derive(Default)]
+struct Lru {
+    /// Key hash -> the entries sharing it.
+    map: HashMap<u64, Vec<PlanEntry>>,
+    /// Last-use stamp -> key hash of its entry, oldest first: one element
+    /// per entry, so its length is the entry count.
+    order: BTreeMap<u64, u64>,
+    /// The last stamp handed out.
+    clock: u64,
+}
+
+impl Lru {
+    /// Removes entry `i` of bucket `hash`.
+    fn remove(&mut self, hash: u64, i: usize) {
+        let bucket = self.map.get_mut(&hash).expect("indexed bucket exists");
+        let entry = bucket.remove(i);
+        if bucket.is_empty() {
+            self.map.remove(&hash);
+        }
+        self.order.remove(&entry.stamp);
+    }
+
+    /// Evicts the least-recently-used entry; false when empty.
+    fn evict_oldest(&mut self) -> bool {
+        let Some((&stamp, &hash)) = self.order.iter().next() else {
+            return false;
+        };
+        let i = self.map[&hash]
+            .iter()
+            .position(|e| e.stamp == stamp)
+            .expect("indexed entry exists");
+        self.remove(hash, i);
+        true
+    }
 }
 
 impl Default for PlanCache {
@@ -517,7 +553,7 @@ impl PlanCache {
     /// Creates a cache holding at most `cap` plans.
     pub fn with_capacity(cap: usize) -> Self {
         PlanCache {
-            map: Mutex::new((HashMap::new(), 0)),
+            lru: Mutex::new(Lru::default()),
             cap: cap.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -536,7 +572,7 @@ impl PlanCache {
 
     /// Plans currently cached.
     pub fn len(&self) -> usize {
-        self.map.lock().0.values().map(|v| v.len()).sum()
+        self.lru.lock().order.len()
     }
 
     /// Whether the cache is empty.
@@ -575,29 +611,30 @@ impl PlanCache {
     ) -> Arc<CompiledPlan> {
         let hash = key.hash64();
         {
-            let mut guard = self.map.lock();
-            let (map, clock) = &mut *guard;
-            if let Some(bucket) = map.get_mut(&hash) {
-                if let Some(i) = bucket.iter().position(|e| key.matches(&e.key)) {
-                    if bucket[i].epoch == epoch {
-                        *clock += 1;
-                        bucket[i].stamp = *clock;
-                        let plan = bucket[i].plan.clone();
-                        drop(guard);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        o4a_obs::counter!(
-                            "o4a_plan_cache_hits_total",
-                            "compiled-plan cache hits across all query backends"
-                        )
-                        .inc();
-                        return plan;
-                    }
-                    // stale epoch: the index was swapped; never serve it
-                    bucket.remove(i);
-                    if bucket.is_empty() {
-                        map.remove(&hash);
-                    }
+            let mut guard = self.lru.lock();
+            let lru = &mut *guard;
+            let found = lru.map.get_mut(&hash).and_then(|bucket| {
+                Some((bucket.iter().position(|e| key.matches(&e.key))?, bucket))
+            });
+            if let Some((i, bucket)) = found {
+                let entry = &mut bucket[i];
+                if entry.epoch == epoch {
+                    lru.clock += 1;
+                    let old = std::mem::replace(&mut entry.stamp, lru.clock);
+                    let plan = entry.plan.clone();
+                    lru.order.remove(&old);
+                    lru.order.insert(lru.clock, hash);
+                    drop(guard);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    o4a_obs::counter!(
+                        "o4a_plan_cache_hits_total",
+                        "compiled-plan cache hits across all query backends"
+                    )
+                    .inc();
+                    return plan;
                 }
+                // stale epoch: the index was swapped; never serve it
+                lru.remove(hash, i);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -607,39 +644,26 @@ impl PlanCache {
         )
         .inc();
         let plan = Arc::new(compile());
-        let mut guard = self.map.lock();
-        let (map, clock) = &mut *guard;
-        let total: usize = map.values().map(|v| v.len()).sum();
-        if total >= self.cap {
-            // evict the least-recently-used entry across all buckets
-            if let Some((stale_hash, stale_i)) = map
-                .iter()
-                .flat_map(|(h, b)| b.iter().enumerate().map(move |(i, e)| (*h, i, e.stamp)))
-                .min_by_key(|&(_, _, stamp)| stamp)
-                .map(|(h, i, _)| (h, i))
-            {
-                let bucket = map.get_mut(&stale_hash).unwrap();
-                bucket.remove(stale_i);
-                if bucket.is_empty() {
-                    map.remove(&stale_hash);
-                }
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                o4a_obs::counter!(
-                    "o4a_plan_cache_evictions_total",
-                    "compiled plans evicted by the LRU cap"
-                )
-                .inc();
-            }
+        let mut guard = self.lru.lock();
+        let lru = &mut *guard;
+        if lru.order.len() >= self.cap && lru.evict_oldest() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            o4a_obs::counter!(
+                "o4a_plan_cache_evictions_total",
+                "compiled plans evicted by the LRU cap"
+            )
+            .inc();
         }
-        *clock += 1;
+        lru.clock += 1;
         let entry = PlanEntry {
             key: key.to_owned(),
             epoch,
-            stamp: *clock,
+            stamp: lru.clock,
             plan: plan.clone(),
         };
-        map.entry(hash).or_default().push(entry);
-        let entries: usize = map.values().map(|v| v.len()).sum();
+        lru.map.entry(hash).or_default().push(entry);
+        lru.order.insert(lru.clock, hash);
+        let entries = lru.order.len();
         drop(guard);
         o4a_obs::gauge!("o4a_plan_cache_entries", "compiled plans currently cached")
             .set(entries as f64);
@@ -806,6 +830,59 @@ mod tests {
         assert_eq!((h, m, e), (1, 3, 1));
         // mask 0 must still be resident
         let _ = cache.get_or_compile_mask(&masks[0], 0, || unreachable!());
+    }
+
+    /// The stamp-indexed LRU against a scan-based model of the same
+    /// policy: identical hit/miss/eviction counts and resident keys over
+    /// a random stream of lookups, epoch bumps included.
+    #[test]
+    fn plan_cache_matches_a_scanning_lru_model() {
+        let hier = hier4();
+        let compile = || {
+            let mut b = PlanBuilder::new(&hier);
+            b.push_term(LayerCell::new(0, 0, 0), 1, 0);
+            b.end_run();
+            b.end_group(false);
+            b.finish()
+        };
+        let masks: Vec<Mask> = (0..16)
+            .map(|i| Mask::rect(4, 4, i / 4, i % 4, i / 4 + 1, i % 4 + 1))
+            .collect();
+        let cache = PlanCache::with_capacity(5);
+        // model: (mask index, epoch, stamp) per entry
+        let mut model: Vec<(usize, u64, u64)> = Vec::new();
+        let (mut clock, mut want) = (0u64, (0u64, 0u64, 0u64));
+        let mut rng = o4a_tensor::SeededRng::new(7);
+        for _ in 0..2000 {
+            let m = rng.index(masks.len());
+            let epoch = (rng.index(50) == 0) as u64;
+            clock += 1;
+            match model.iter().position(|e| e.0 == m) {
+                Some(i) if model[i].1 == epoch => {
+                    model[i].2 = clock;
+                    want.0 += 1;
+                }
+                found => {
+                    if let Some(i) = found {
+                        model.remove(i);
+                    }
+                    want.1 += 1;
+                    if model.len() >= 5 {
+                        let oldest = (0..model.len()).min_by_key(|&i| model[i].2).unwrap();
+                        model.remove(oldest);
+                        want.2 += 1;
+                    }
+                    model.push((m, epoch, clock));
+                }
+            }
+            let _ = cache.get_or_compile_mask(&masks[m], epoch, compile);
+            assert_eq!(cache.stats(), want);
+            assert_eq!(cache.len(), model.len());
+        }
+        // the resident set matches: every modelled entry still hits
+        for &(m, epoch, _) in &model.clone() {
+            let _ = cache.get_or_compile_mask(&masks[m], epoch, || unreachable!("resident"));
+        }
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use combination::{Combination, CombinationIndex, SearchStrategy, SignedCell}
 pub use network::{NetworkConfig, One4AllNet};
 pub use one4all::One4AllSt;
 pub use server::{
-    DecompCache, ModelServer, PredictionStore, PublishError, QueryBackend, QueryEngine,
-    QueryTiming, RegionServer, StageMetrics, StoreSet,
+    ModelServer, PredictionStore, PublishError, QueryBackend, QueryEngine, QueryTiming,
+    RegionServer, StageMetrics, StoreSet,
 };

@@ -20,8 +20,7 @@ use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::mask::Mask;
 use o4a_obs::Histogram;
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -370,144 +369,15 @@ impl<P: o4a_models::multiscale::PyramidPredictor> ModelServer<P> {
     }
 }
 
-/// Masks the decomposition memo retains. Serving workloads query a small
-/// working set of regions over and over (every snapshot refresh re-answers
-/// the same masks), so a few hundred entries cover the common case while
-/// bounding memory for adversarial mask streams.
-const DECOMP_CACHE_CAP: usize = 256;
-
-/// An LRU memo of mask → hierarchical decomposition.
-///
-/// Decomposition depends only on the mask (never on the snapshot), so a
-/// repeated region query — the serving common case — can skip Algorithm 1
-/// entirely. Entries carry a last-use stamp from a shared clock; inserts
-/// past capacity evict the stalest entry. Hit/miss counters are surfaced
-/// through the serving layer's STATS verb.
-///
-/// Public so the shard router reuses the exact memo the [`QueryEngine`]
-/// runs; internals stay private.
-#[derive(Debug)]
-pub struct DecompCache {
-    /// `(entries keyed by mask -> (groups, last-use stamp), clock)`.
-    map: Mutex<(HashMap<Mask, DecompEntry>, u64)>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Cached decomposition plus its last-use stamp.
-type DecompEntry = (Arc<Vec<DecomposedGroup>>, u64);
-
-impl Default for DecompCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DecompCache {
-    /// Creates an empty memo with capacity from the `O4A_DECOMP_CACHE`
-    /// environment variable (default 256 — see [`DECOMP_CACHE_CAP`]'s
-    /// working-set argument; the serve binary's `--decomp-cache` flag
-    /// sets the variable).
-    pub fn new() -> Self {
-        let cap = std::env::var("O4A_DECOMP_CACHE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DECOMP_CACHE_CAP);
-        Self::with_capacity(cap)
-    }
-
-    /// Creates an empty memo holding at most `cap` decompositions.
-    pub fn with_capacity(cap: usize) -> Self {
-        DecompCache {
-            map: Mutex::new((HashMap::new(), 0)),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `(hits, misses)` since the memo was created.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Decompositions currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.lock().0.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured entry cap.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Returns the cached decomposition, computing (outside the lock) and
-    /// inserting it on a miss.
-    pub fn get(&self, hier: &Hierarchy, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
-        {
-            let mut guard = self.map.lock();
-            let (map, clock) = &mut *guard;
-            if let Some((groups, stamp)) = map.get_mut(mask) {
-                *clock += 1;
-                *stamp = *clock;
-                let groups = groups.clone();
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                o4a_obs::counter!(
-                    "o4a_decomp_cache_hits_total",
-                    "decomposition-memo hits across all region servers"
-                )
-                .inc();
-                return groups;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        o4a_obs::counter!(
-            "o4a_decomp_cache_misses_total",
-            "decomposition-memo misses across all region servers"
-        )
-        .inc();
-        let groups = Arc::new(decompose(hier, mask));
-        let mut guard = self.map.lock();
-        let (map, clock) = &mut *guard;
-        if map.len() >= self.cap && !map.contains_key(mask) {
-            if let Some(stale) = map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(m, _)| m.clone())
-            {
-                map.remove(&stale);
-            }
-        }
-        *clock += 1;
-        map.insert(mask.clone(), (groups.clone(), *clock));
-        let entries = map.len();
-        drop(guard);
-        o4a_obs::gauge!(
-            "o4a_decomp_cache_entries",
-            "decompositions currently memoized"
-        )
-        .set(entries as f64);
-        groups
-    }
-}
 /// Metric handles a [`QueryEngine`] records into, taken once at
 /// construction from its [`PlanSource`]. The single-model and ensemble
 /// namespaces stay distinct (`o4a_query_*` vs `o4a_ensemble_*`).
 pub struct StageMetrics {
-    /// Per-query decomposition time (memo lookup on a cache hit).
+    /// Per-query decomposition time: Algorithm 1 on a plan-cache miss,
+    /// zero on a hit.
     pub decompose: Arc<Histogram>,
-    /// Per-query plan-cache lookup (and compile on a miss) time.
+    /// Per-query plan-cache lookup (and compile on a miss) time,
+    /// excluding the decomposition.
     pub lookup: Arc<Histogram>,
     /// Per-query compiled aggregation time.
     pub aggregate: Arc<Histogram>,
@@ -542,7 +412,7 @@ impl PlanSource for CombinationIndex {
         StageMetrics {
             decompose: reg.histogram(
                 "o4a_query_decompose_ns",
-                "per-query hierarchical decomposition time (memo lookup on a cache hit)",
+                "per-query hierarchical decomposition time (zero on a plan-cache hit)",
             ),
             lookup: reg.histogram(
                 "o4a_query_lookup_ns",
@@ -596,15 +466,16 @@ impl From<Vec<Arc<PredictionStore>>> for StoreSet {
     }
 }
 
-/// The online query engine: decomposition memo, snapshot-versioned cache
-/// of compiled plans ([`crate::compiled`]) and one [`PredictionStore`] per
-/// member of its [`PlanSource`]. Every query runs the same path —
-/// decompose, look up (or compile) the plan, execute it against one
-/// consistent snapshot set — and reports its stage times.
+/// The online query engine: a snapshot-versioned cache of compiled plans
+/// keyed by mask ([`crate::compiled`]) and one [`PredictionStore`] per
+/// member of its [`PlanSource`]. Every query runs the same path — look up
+/// the mask's plan, decomposing (Algorithm 1) and compiling it only on a
+/// miss, then execute it against one consistent snapshot set — and
+/// reports its stage times. A repeated region costs lookup + aggregation
+/// alone, the split the paper's extended quad-tree buys (Sec. IV-D).
 pub struct QueryEngine<S> {
     source: S,
     stores: Vec<Arc<PredictionStore>>,
-    decomp_cache: DecompCache,
     plan_cache: PlanCache,
     compiled_terms: AtomicU64,
     metrics: StageMetrics,
@@ -641,14 +512,6 @@ impl<S: PlanSource> QueryEngine<S> {
         // query already exposes them at zero (no samples are recorded
         // here).
         let _ = o4a_obs::counter!(
-            "o4a_decomp_cache_hits_total",
-            "decomposition-memo hits across all region servers"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_decomp_cache_misses_total",
-            "decomposition-memo misses across all region servers"
-        );
-        let _ = o4a_obs::counter!(
             "o4a_plan_cache_hits_total",
             "compiled-plan cache hits across all query backends"
         );
@@ -661,10 +524,6 @@ impl<S: PlanSource> QueryEngine<S> {
             "compiled plans evicted by the LRU cap"
         );
         let _ = o4a_obs::gauge!("o4a_plan_cache_entries", "compiled plans currently cached");
-        let _ = o4a_obs::gauge!(
-            "o4a_decomp_cache_entries",
-            "decompositions currently memoized"
-        );
         let _ = o4a_obs::histogram!(
             "o4a_compiled_terms",
             "resolved terms per compiled query execution"
@@ -673,7 +532,6 @@ impl<S: PlanSource> QueryEngine<S> {
         QueryEngine {
             source,
             stores,
-            decomp_cache: DecompCache::new(),
             plan_cache: PlanCache::new(),
             compiled_terms: AtomicU64::new(0),
             metrics,
@@ -701,12 +559,6 @@ impl<S: PlanSource> QueryEngine<S> {
     /// never mixes a real member snapshot with an empty one.
     pub fn is_ready(&self) -> bool {
         self.stores.iter().all(|s| s.is_ready())
-    }
-
-    /// `(hits, misses)` of the decomposition memo since the engine was
-    /// created. Surfaced by the serving layer's STATS verb.
-    pub fn decomp_cache_stats(&self) -> (u64, u64) {
-        self.decomp_cache.stats()
     }
 
     /// `(hits, misses, evictions)` of the compiled-plan cache since the
@@ -750,28 +602,34 @@ impl<S: PlanSource> QueryEngine<S> {
         }
     }
 
-    /// The query path: decompose the mask (memo), look up or compile its
-    /// plan, execute it against `snaps`. Records the three stage times
-    /// and returns the value with the decomposition and index
-    /// (lookup + aggregate) times.
+    /// The query path: look up the mask's plan, decomposing and compiling
+    /// it only on a miss, then execute it against `snaps`. Records the
+    /// three stage times — decompose is Algorithm 1's time on a miss and
+    /// zero on a hit, lookup excludes it — and returns the value with the
+    /// decomposition and index (lookup + aggregate) times.
     fn answer(&self, mask: &Mask, snaps: &[&FrameSet]) -> (f32, Duration, Duration) {
         let t0 = Instant::now();
-        let groups = self.decomp_cache.get(self.hierarchy(), mask);
-        let t1 = Instant::now();
+        let mut decompose_t = Duration::ZERO;
         let plan = self
             .plan_cache
-            .get_or_compile_mask(mask, self.source.epoch(), || compile(&self.source, &groups));
+            .get_or_compile_mask(mask, self.source.epoch(), || {
+                let d0 = Instant::now();
+                let groups = decompose(self.hierarchy(), mask);
+                decompose_t = d0.elapsed();
+                compile(&self.source, &groups)
+            });
         let t2 = Instant::now();
         let value = with_scratch(|s| plan.execute_sum(snaps, s)).expect(LAYOUT_INVARIANT);
         self.note_terms(std::iter::once(&*plan));
         let t3 = Instant::now();
-        let (decompose, lookup, aggregate) = (t1 - t0, t2 - t1, t3 - t2);
+        let lookup = (t2 - t0).saturating_sub(decompose_t);
+        let aggregate = t3 - t2;
         // Stage histograms are lock-free atomics, safe to bump from
         // inside pool tasks.
-        self.metrics.decompose.record(decompose.as_nanos() as u64);
+        self.metrics.decompose.record(decompose_t.as_nanos() as u64);
         self.metrics.lookup.record(lookup.as_nanos() as u64);
         self.metrics.aggregate.record(aggregate.as_nanos() as u64);
-        (value, decompose, lookup + aggregate)
+        (value, decompose_t, lookup + aggregate)
     }
 
     /// Answers a region query against the latest published snapshots.
@@ -783,7 +641,8 @@ impl<S: PlanSource> QueryEngine<S> {
     }
 
     /// Answers a query and reports the timing breakdown. The decomposition
-    /// stage reports the memo lookup time — near zero on a cache hit. The
+    /// stage is zero when the mask's plan is cached (Algorithm 1 runs only
+    /// to compile a missing plan). The
     /// three internal stages (decompose, plan lookup, aggregation) are
     /// also recorded into the global metrics registry; `QueryTiming.index`
     /// stays the exact sum of the lookup and aggregation stages.
@@ -951,8 +810,13 @@ pub trait QueryBackend: Send + Sync {
     /// (decomposition happened at the router).
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming);
 
-    /// `(hits, misses)` of the backend's decomposition memo.
-    fn decomp_cache_stats(&self) -> (u64, u64);
+    /// `(hits, misses)` of the backend's mask-to-groups memo; `(0, 0)`
+    /// for a backend without one. Only a shard router keeps one: it must
+    /// decompose every mask to scatter its groups, while an engine
+    /// decomposes only to compile a plan its cache is missing.
+    fn decomp_cache_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
 
     /// `(hits, misses, evictions)` of the backend's compiled-plan cache;
     /// all zeros for a backend without one.
@@ -995,10 +859,6 @@ impl<S: PlanSource> QueryBackend for QueryEngine<S> {
 
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
         QueryEngine::query_groups_timed(self, groups)
-    }
-
-    fn decomp_cache_stats(&self) -> (u64, u64) {
-        QueryEngine::decomp_cache_stats(self)
     }
 
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
@@ -1223,7 +1083,10 @@ mod tests {
         let mask = Mask::rect(4, 4, 0, 0, 2, 2);
         let (vals, _) = backend.query_many_timed(std::slice::from_ref(&mask));
         assert_eq!(vals, vec![server.query(&mask)]);
-        assert_eq!(backend.decomp_cache_stats().1, 1);
+        // an engine keeps no decomposition memo: its plan cache is the
+        // one per-mask cache
+        assert_eq!(backend.decomp_cache_stats(), (0, 0));
+        assert_eq!(backend.plan_cache_stats(), (1, 1, 0));
         assert_eq!(backend.hierarchy().h(), 4);
     }
 
@@ -1246,50 +1109,32 @@ mod tests {
     }
 
     #[test]
-    fn decomp_cache_counts_hits_and_misses() {
+    fn plan_cache_counts_hits_and_misses() {
         let (_, index, frames) = exact_setup();
         let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
         store.publish(frames);
         let server = RegionServer::new(index, store);
         let a = Mask::rect(4, 4, 0, 0, 2, 2);
         let b = Mask::rect(4, 4, 1, 1, 3, 4);
-        assert_eq!(server.decomp_cache_stats(), (0, 0));
+        assert_eq!(server.plan_cache_stats(), (0, 0, 0));
         let va = server.query(&a);
-        assert_eq!(server.decomp_cache_stats(), (0, 1));
-        // repeat queries hit; results are identical to the uncached path
+        assert_eq!(server.plan_cache_stats(), (0, 1, 0));
+        // repeat queries hit; results are identical to the compiling path
         assert_eq!(server.query(&a), va);
-        let (vt, _) = server.query_timed(&a);
+        let (vt, timing) = server.query_timed(&a);
         assert_eq!(vt, va);
-        assert_eq!(server.decomp_cache_stats(), (2, 1));
-        // a new mask misses; a batch mixing both counts one hit + one hit
+        assert_eq!(
+            timing.decompose,
+            Duration::ZERO,
+            "a plan hit never decomposes"
+        );
+        assert_eq!(server.plan_cache_stats(), (2, 1, 0));
+        // a new mask misses; a batch mixing both counts two hits
         let _ = server.query(&b);
-        assert_eq!(server.decomp_cache_stats(), (2, 2));
+        assert_eq!(server.plan_cache_stats(), (2, 2, 0));
         let batch = server.query_many(&[a.clone(), b.clone()]);
         assert_eq!(batch[0], va);
-        assert_eq!(server.decomp_cache_stats(), (4, 2));
-    }
-
-    #[test]
-    fn decomp_cache_evicts_at_capacity() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::for_hierarchy(&hier4()));
-        store.publish(frames);
-        let server = RegionServer::new(index, store);
-        // 4x4 raster has 100 distinct rectangles — cycle enough distinct
-        // masks to exceed any plausible cap; the map must stay bounded.
-        for round in 0..4 {
-            for r in 0..4 {
-                for c in 0..4 {
-                    let m = Mask::rect(4, 4, r, c, r + 1, c + 1);
-                    let v = server.query(&m);
-                    assert!(v.is_finite(), "round {round}");
-                }
-            }
-        }
-        let len = server.decomp_cache.map.lock().0.len();
-        assert!(len <= DECOMP_CACHE_CAP, "cache grew unbounded: {len}");
-        // 16 distinct masks, 4 rounds: first round misses, rest hit
-        assert_eq!(server.decomp_cache_stats(), (48, 16));
+        assert_eq!(server.plan_cache_stats(), (4, 2, 0));
     }
 
     #[test]

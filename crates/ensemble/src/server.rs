@@ -1,13 +1,13 @@
 //! The online ensemble query engine.
 //!
 //! An [`EnsembleServer`] is the core [`QueryEngine`] over an
-//! [`EnsemblePlan`]: the same decomposition memo, plan cache, compile
-//! walk and timed path as the single-model
-//! [`o4a_core::server::RegionServer`], except that each compiled term
-//! reads from *its own member's* [`o4a_core::server::PredictionStore`]
-//! snapshot. Batch queries grab **one** snapshot per member up front, so
-//! a whole batch is answered against a consistent cross-member snapshot
-//! set even while member model servers publish concurrently.
+//! [`EnsemblePlan`]: the same plan cache, compile walk and timed path as
+//! the single-model [`o4a_core::server::RegionServer`], except that each
+//! compiled term reads from *its own member's*
+//! [`o4a_core::server::PredictionStore`] snapshot. Batch queries grab
+//! **one** snapshot per member up front, so a whole batch is answered
+//! against a consistent cross-member snapshot set even while member model
+//! servers publish concurrently.
 //!
 //! Because execution replays the same signed-accumulation chain as the
 //! single-model path (see `o4a_core::combination::signed_sum`), a plan
@@ -269,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_agree_and_memo_counts() {
+    fn batch_paths_agree_and_plan_cache_counts() {
         let hier = hier4();
         let frames = exact_frames(&hier);
         let preds: Vec<Vec<Vec<f32>>> = frames.iter().map(|f| vec![f.clone(); 2]).collect();
@@ -290,7 +290,7 @@ mod tests {
         let plain = server.query_many(&masks);
         let (timed, _) = server.query_many_timed(&masks);
         assert_eq!(plain, timed);
-        assert_eq!(server.decomp_cache_stats(), (3, 3));
+        assert_eq!(server.plan_cache_stats(), (3, 3, 0));
         let backend: &dyn QueryBackend = &server;
         assert_eq!(backend.plan_revision(), 1);
         assert_eq!(backend.hierarchy().w(), 4);

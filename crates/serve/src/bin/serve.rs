@@ -32,8 +32,10 @@
 //! recorder (drained by the `TRACE` verb; equivalent to `O4A_TRACE=N`),
 //! and `--trace-slow-us US` logs a structured stage breakdown for any
 //! request slower than `US` microseconds (equivalent to
-//! `O4A_TRACE_SLOW_US=US`). `--decomp-cache N` sizes the per-backend
-//! decomposition memo (equivalent to `O4A_DECOMP_CACHE=N`; default 256).
+//! `O4A_TRACE_SLOW_US=US`). Each backend caches one compiled plan per
+//! hot mask (`O4A_PLAN_CACHE`, default 4096) and decomposes a mask only
+//! to compile a missing plan; a sharded router also keeps a 256-entry
+//! mask-to-groups memo, since it must decompose every mask to scatter.
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::{truth_pyramid, One4AllSt};
@@ -63,7 +65,7 @@ Usage:
     [--index PATH] [--model PATH] [--artifacts target/serve-artifacts] \\
     [--ensemble N] [--workers 2] [--window-us 500] [--queue-cap 1024] \\
     [--max-batch 256] [--shards 1] [--loops 1] [--run-secs S] \\
-    [--decomp-cache N] [--trace-every N] [--trace-slow-us US]";
+    [--trace-every N] [--trace-slow-us US]";
 
 struct Args {
     addr: String,
@@ -81,7 +83,6 @@ struct Args {
     shards: usize,
     loops: usize,
     run_secs: Option<f64>,
-    decomp_cache: Option<usize>,
     trace_every: Option<u64>,
     trace_slow_us: Option<u64>,
 }
@@ -103,7 +104,6 @@ fn parse_args() -> Args {
         shards: 1,
         loops: 1,
         run_secs: None,
-        decomp_cache: None,
         trace_every: None,
         trace_slow_us: None,
     };
@@ -125,7 +125,6 @@ fn parse_args() -> Args {
             "--shards" => args.shards = flag_value(USAGE, &flag, it.next()),
             "--loops" => args.loops = flag_value(USAGE, &flag, it.next()),
             "--run-secs" => args.run_secs = Some(flag_value(USAGE, &flag, it.next())),
-            "--decomp-cache" => args.decomp_cache = Some(flag_value(USAGE, &flag, it.next())),
             "--trace-every" => args.trace_every = Some(flag_value(USAGE, &flag, it.next())),
             "--trace-slow-us" => args.trace_slow_us = Some(flag_value(USAGE, &flag, it.next())),
             "--synthetic" => {} // accepted for clarity; synthetic is the default without --index
@@ -272,11 +271,6 @@ fn sharded(
 
 fn main() {
     let args = parse_args();
-    if let Some(n) = args.decomp_cache {
-        // every backend (and each router shard) constructed below reads
-        // this at DecompCache::new time
-        std::env::set_var("O4A_DECOMP_CACHE", n.to_string());
-    }
     if let Some(n) = args.trace_every {
         o4a_obs::trace::set_sample_every(n);
     }

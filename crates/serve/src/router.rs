@@ -23,13 +23,14 @@
 //! rather than the whole group keeps assignment stable when neighboring
 //! masks decompose into overlapping group sets.
 
-use o4a_core::server::{DecompCache, QueryBackend, QueryTiming};
-use o4a_grid::decompose::DecomposedGroup;
+use o4a_core::server::{QueryBackend, QueryTiming};
+use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
 use o4a_obs::trace::{self, SpanEvent, SpanKind};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Virtual nodes per shard on the hash ring. 32 left arc lengths lumpy
@@ -86,6 +87,119 @@ fn anchor_hash(layer: usize, r: usize, c: usize) -> u64 {
     mix64(fnv1a64(&key))
 }
 
+/// Masks the router's decomposition memo retains. Serving workloads
+/// query a working set of regions over and over (every snapshot refresh
+/// re-answers the same masks), so a few hundred entries cover the common
+/// case while bounding memory for adversarial mask streams.
+const DECOMP_CACHE_CAP: usize = 256;
+
+/// An LRU memo of mask → hierarchical decomposition.
+///
+/// The router must decompose every mask to scatter its groups (the
+/// shards only ever see groups), and decomposition depends only on the
+/// mask, so a repeated region skips Algorithm 1. Entries carry a
+/// last-use stamp from a shared clock; inserts past capacity evict the
+/// stalest entry. Hit/miss counters are surfaced through the serving
+/// layer's STATS verb and the `o4a_decomp_cache_*` metrics.
+struct DecompCache {
+    /// `(entries keyed by mask -> (groups, last-use stamp), clock)`.
+    map: Mutex<(HashMap<Mask, DecompEntry>, u64)>,
+    cap: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// Cached decomposition plus its last-use stamp.
+type DecompEntry = (Arc<Vec<DecomposedGroup>>, u64);
+
+impl DecompCache {
+    /// Creates an empty memo holding at most `cap` decompositions, and
+    /// registers its metrics so a scrape before the first query already
+    /// exposes them at zero.
+    fn with_capacity(cap: usize) -> Self {
+        let _ = o4a_obs::counter!(
+            "o4a_decomp_cache_hits_total",
+            "shard-router decomposition-memo hits"
+        );
+        let _ = o4a_obs::counter!(
+            "o4a_decomp_cache_misses_total",
+            "shard-router decomposition-memo misses"
+        );
+        let _ = o4a_obs::gauge!(
+            "o4a_decomp_cache_entries",
+            "decompositions currently memoized by shard routers"
+        );
+        DecompCache {
+            map: Mutex::new((HashMap::new(), 0)),
+            cap: cap.max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (HashMap<Mask, DecompEntry>, u64)> {
+        self.map.lock().expect("decomposition memo poisoned")
+    }
+
+    /// `(hits, misses)` since the memo was created.
+    fn stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Returns the cached decomposition, computing (outside the lock) and
+    /// inserting it on a miss.
+    fn get(&self, hier: &Hierarchy, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
+        {
+            let mut guard = self.lock();
+            let (map, clock) = &mut *guard;
+            if let Some((groups, stamp)) = map.get_mut(mask) {
+                *clock += 1;
+                *stamp = *clock;
+                let groups = groups.clone();
+                drop(guard);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                o4a_obs::counter!(
+                    "o4a_decomp_cache_hits_total",
+                    "shard-router decomposition-memo hits"
+                )
+                .inc();
+                return groups;
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        o4a_obs::counter!(
+            "o4a_decomp_cache_misses_total",
+            "shard-router decomposition-memo misses"
+        )
+        .inc();
+        let groups = Arc::new(decompose(hier, mask));
+        let mut guard = self.lock();
+        let (map, clock) = &mut *guard;
+        if map.len() >= self.cap && !map.contains_key(mask) {
+            if let Some(stale) = map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(m, _)| m.clone())
+            {
+                map.remove(&stale);
+            }
+        }
+        *clock += 1;
+        map.insert(mask.clone(), (groups.clone(), *clock));
+        let entries = map.len();
+        drop(guard);
+        o4a_obs::gauge!(
+            "o4a_decomp_cache_entries",
+            "decompositions currently memoized by shard routers"
+        )
+        .set(entries as f64);
+        groups
+    }
+}
+
 /// Routes decomposed groups across K [`QueryBackend`] shards and merges
 /// the partial aggregates bit-identically to an unsharded backend.
 pub struct ShardRouter {
@@ -137,7 +251,7 @@ impl ShardRouter {
         ShardRouter {
             shards,
             ring,
-            decomp_cache: DecompCache::new(),
+            decomp_cache: DecompCache::with_capacity(DECOMP_CACHE_CAP),
             loads,
             routed_metrics,
         }
@@ -320,6 +434,28 @@ mod tests {
             }
         }
         owners
+    }
+
+    #[test]
+    fn decomp_cache_counts_and_evicts_at_capacity() {
+        let hier = Hierarchy::new(4, 4, 2, 3).unwrap();
+        let memo = DecompCache::with_capacity(4);
+        // 16 distinct masks, 3 rounds over a 4-entry memo: every lookup
+        // misses (LRU over a cyclic scan), and the map stays bounded
+        for _round in 0..3 {
+            for r in 0..4 {
+                for c in 0..4 {
+                    let m = Mask::rect(4, 4, r, c, r + 1, c + 1);
+                    assert_eq!(*memo.get(&hier, &m), decompose(&hier, &m));
+                }
+            }
+        }
+        assert_eq!(memo.stats(), (0, 48));
+        assert_eq!(memo.lock().0.len(), 4);
+        // the most recent masks are resident and hit
+        let last = Mask::rect(4, 4, 3, 3, 4, 4);
+        let _ = memo.get(&hier, &last);
+        assert_eq!(memo.stats(), (1, 48));
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl ServerStats {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             decompose_ns: self.decompose_ns.load(Ordering::Relaxed),
             index_ns: self.index_ns.load(Ordering::Relaxed),
-            // the decomposition memo, plan revision, shard loads and
+            // the router's decomposition memo, plan revision, shard loads and
             // plan-cache counters live in the query backend, not here;
             // `Shared::stats_snapshot` fills these in
             decomp_cache_hits: 0,
@@ -232,7 +232,8 @@ struct Shared {
 
 impl Shared {
     /// Serving counters merged with the backend's decomposition-memo
-    /// hit/miss counters, its active plan revision (`0` for a
+    /// hit/miss counters (a shard router's; zero unsharded), its active
+    /// plan revision (`0` for a
     /// single-model backend), its per-shard load counters (empty
     /// unsharded) and its compiled-plan cache counters.
     fn stats_snapshot(&self) -> StatsSnapshot {

@@ -214,9 +214,11 @@ pub struct StatsSnapshot {
     pub decompose_ns: u64,
     /// Total lookup + aggregation CPU time (ns).
     pub index_ns: u64,
-    /// Region-server decomposition memo hits.
+    /// Shard-router decomposition memo hits; `0` for an unsharded
+    /// backend, which decomposes only on a plan-cache miss.
     pub decomp_cache_hits: u64,
-    /// Region-server decomposition memo misses.
+    /// Shard-router decomposition memo misses; `0` for an unsharded
+    /// backend.
     pub decomp_cache_misses: u64,
     /// Revision of the active ensemble plan; `0` for a single-model
     /// backend. Appended in revision 2 of the STATS payload — a revision-1
@@ -329,13 +331,14 @@ fn put_f32(buf: &mut Vec<u8>, v: f32) {
 fn encode_mask(buf: &mut Vec<u8>, mask: &Mask) {
     put_u16(buf, mask.h() as u16);
     put_u16(buf, mask.w() as u16);
-    let cells = mask.h() * mask.w();
-    let mut packed = vec![0u8; cells.div_ceil(8)];
-    for (r, c) in mask.iter_set() {
-        let i = r * mask.w() + c;
-        packed[i / 8] |= 1 << (i % 8);
+    // the mask's words are the packed bits: emit their little-endian
+    // bytes, trimmed to the last byte that holds a cell
+    let bytes = (mask.h() * mask.w()).div_ceil(8);
+    let start = buf.len();
+    for word in mask.words() {
+        buf.extend_from_slice(&word.to_le_bytes());
     }
-    buf.extend_from_slice(&packed);
+    buf.truncate(start + bytes);
 }
 
 fn decode_mask(r: &mut Rd<'_>) -> Result<Mask, WireError> {
@@ -354,10 +357,15 @@ fn decode_mask(r: &mut Rd<'_>) -> Result<Mask, WireError> {
     if !cells.is_multiple_of(8) && packed[cells / 8] >> (cells % 8) != 0 {
         return Err(WireError::Corrupt("non-zero mask padding bits"));
     }
-    let bits: Vec<bool> = (0..cells)
-        .map(|i| packed[i / 8] >> (i % 8) & 1 == 1)
+    let words = packed
+        .chunks(8)
+        .map(|chunk| {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(le)
+        })
         .collect();
-    Ok(Mask::from_bits(h, w, bits))
+    Ok(Mask::from_words(h, w, words))
 }
 
 // ---------------------------------------------------------------------------

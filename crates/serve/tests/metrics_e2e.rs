@@ -1,7 +1,9 @@
 //! End-to-end observability test: a real server on an ephemeral port,
 //! scraped through the `METRICS` verb, with the exposition validated
 //! structurally and the query-stage histogram sums reconciled exactly
-//! against the end-to-end `QueryTiming` totals from `STATS`.
+//! against the end-to-end `QueryTiming` totals from `STATS`; then a
+//! sharded server whose router decomposition-memo counters reconcile the
+//! same way.
 //!
 //! This file contains exactly ONE `#[test]`: the metrics registry is
 //! process-global, and a concurrent test issuing queries would break the
@@ -13,7 +15,7 @@ use o4a_core::server::{PredictionStore, RegionServer};
 use o4a_data::synthetic::DatasetKind;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::{Hierarchy, Mask};
-use o4a_serve::{serve, Client, ClientConfig, ServeConfig};
+use o4a_serve::{serve, Client, ClientConfig, ServeConfig, ShardRouter};
 use o4a_tensor::{conv2d, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,7 +138,7 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
     let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
 
     // Exercise every path that feeds the registry: health, batch + single
-    // queries (stage histograms, decomp cache), and a tiny gemm + conv in
+    // queries (stage histograms, plan cache), and a tiny gemm + conv in
     // this process (kernel histograms).
     let health = client.health().unwrap();
     assert!(health.ready);
@@ -170,8 +172,8 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
         "o4a_query_decompose_ns_count",
         "o4a_query_lookup_ns_count",
         "o4a_query_aggregate_ns_count",
-        "o4a_decomp_cache_hits_total",
-        "o4a_decomp_cache_misses_total",
+        "o4a_plan_cache_hits_total",
+        "o4a_plan_cache_misses_total",
         "o4a_kernel_gemm_ns_count",
         "o4a_kernel_conv2d_ns_count",
         "o4a_serve_request_ns_count",
@@ -208,7 +210,56 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
     );
     // Cache counters travel both roads too: STATS (per-server atomics)
     // and the registry (global counters). One region server exists here,
-    // so they must agree.
+    // so they must agree. Its one per-mask cache is the plan cache: every
+    // served mask is one hit or one miss, and there is no decomposition
+    // memo to report.
+    assert_eq!(
+        stats.plan_cache_hits,
+        samples["o4a_plan_cache_hits_total"] as u64
+    );
+    assert_eq!(
+        stats.plan_cache_misses,
+        samples["o4a_plan_cache_misses_total"] as u64
+    );
+    assert_eq!(
+        stats.plan_cache_hits + stats.plan_cache_misses,
+        stats.masks_served
+    );
+    assert_eq!((stats.decomp_cache_hits, stats.decomp_cache_misses), (0, 0));
+    handle.shutdown();
+
+    // A sharded server over two replicas of the same index: its router
+    // decomposes every mask through its memo, the only decomposition
+    // memo in this process, so STATS and the registry agree on it.
+    let shard = || {
+        Arc::new(RegionServer::new(
+            region.source().clone(),
+            Arc::clone(&region.stores()[0]),
+        )) as Arc<dyn o4a_core::server::QueryBackend>
+    };
+    let router = Arc::new(ShardRouter::new(vec![shard(), shard()]));
+    let handle = serve(
+        router,
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
+    let (sharded, _) = client.query_batch(&masks).unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&sharded),
+        bits(&values),
+        "sharded answers must be bit-identical"
+    );
+    for mask in &masks[..8] {
+        client.query(mask).unwrap();
+    }
+    let samples = validate_exposition(&client.metrics().unwrap());
+    let stats = client.stats().unwrap();
+    assert!(samples.contains_key("o4a_decomp_cache_entries"));
     assert_eq!(
         stats.decomp_cache_hits,
         samples["o4a_decomp_cache_hits_total"] as u64
@@ -217,6 +268,10 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
         stats.decomp_cache_misses,
         samples["o4a_decomp_cache_misses_total"] as u64
     );
-
+    assert_eq!(
+        stats.decomp_cache_hits + stats.decomp_cache_misses,
+        stats.masks_served
+    );
+    assert!(stats.decomp_cache_hits >= 8, "repeated masks hit the memo");
     handle.shutdown();
 }

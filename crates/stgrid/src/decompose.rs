@@ -10,7 +10,7 @@
 //! region is the sum of the optimal combinations of the decomposed grids).
 
 use crate::hierarchy::{Hierarchy, LayerCell};
-use crate::mask::Mask;
+use crate::mask::{for_range, Bits, Mask};
 
 /// One decomposed unit: a set of (connected, same-parent) cells at a single
 /// layer. A group with one cell is a *single grid*; larger groups are the
@@ -35,11 +35,7 @@ impl DecomposedGroup {
         let mut m = Mask::empty(hier.h(), hier.w());
         for &(r, c) in &self.cells {
             let (r0, c0, r1, c1) = hier.atomic_rect(LayerCell::new(self.layer, r, c));
-            for rr in r0..r1 {
-                for cc in c0..c1 {
-                    m.set(rr, cc, true);
-                }
-            }
+            m.set_rect(r0, c0, r1, c1);
         }
         m
     }
@@ -56,6 +52,15 @@ impl DecomposedGroup {
 /// The returned groups are disjoint, cover the region exactly, and no
 /// subset of them merges into a coarser hierarchical grid.
 ///
+/// Runs over a *coverage pyramid* instead of re-testing every cell of
+/// every layer against the shrinking remainder: `covered[0]` is the
+/// region, and a layer-`l+1` cell is covered iff all `K^2` of its
+/// children are. Matching coarse-to-fine removes exactly the cells under
+/// a coarser match, so a layer-`l` cell is matched iff it is covered and
+/// its parent is not. Groups come out layer by layer (coarsest first),
+/// each layer's groups ordered by their row-major first cell, cells
+/// sorted — the order the answer's f32 sum follows.
+///
 /// # Panics
 /// Panics if the region's dimensions do not match the hierarchy's raster.
 pub fn decompose(hier: &Hierarchy, region: &Mask) -> Vec<DecomposedGroup> {
@@ -67,70 +72,179 @@ pub fn decompose(hier: &Hierarchy, region: &Mask) -> Vec<DecomposedGroup> {
         hier.h(),
         hier.w()
     );
-    let mut remaining = region.clone();
-    let mut out = Vec::new();
-    for layer in (0..hier.num_layers()).rev() {
-        // Match(R, S): cells of this layer fully covered by the remaining
-        // region.
-        let covered = match_layer(hier, layer, &remaining);
-        if covered.is_empty() {
-            continue;
+    let k = hier.k();
+    let top = hier.num_layers() - 1;
+    let mut covered = Vec::with_capacity(top + 1);
+    covered.push(BitGrid::from_mask(region));
+    for layer in 1..=top {
+        let (rows, cols) = hier.layer_dims(layer);
+        let next = covered[layer - 1].coarsen(k, rows, cols);
+        if next.is_empty() {
+            // nothing coarser can be covered either
+            break;
         }
-        // Connected components among covered cells that share a parent.
-        let groups = group_cells(hier, layer, &covered);
-        for cells in groups {
-            for &(r, c) in &cells {
-                let (r0, c0, r1, c1) = hier.atomic_rect(LayerCell::new(layer, r, c));
-                remaining.clear_rect(r0, c0, r1, c1);
-            }
-            out.push(DecomposedGroup { layer, cells });
-        }
+        covered.push(next);
     }
-    debug_assert!(remaining.is_empty(), "decomposition must cover the region");
+    let mut out = Vec::new();
+    for layer in (0..covered.len()).rev() {
+        let mut matched = match covered.get(layer + 1) {
+            Some(parent) => covered[layer].minus_children_of(parent, k),
+            None => covered[layer].clone(),
+        };
+        // the coarsest layer has no parent: every matched cell is its
+        // own group
+        let block = if layer == top { 1 } else { k };
+        matched.take_groups(block, |cells| out.push(DecomposedGroup { layer, cells }));
+    }
     out
 }
 
-/// The `Match` step: all cells of `layer` fully covered by `remaining`.
-fn match_layer(hier: &Hierarchy, layer: usize, remaining: &Mask) -> Vec<(usize, usize)> {
-    let (rows, cols) = hier.layer_dims(layer);
-    let mut covered = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            let (r0, c0, r1, c1) = hier.atomic_rect(LayerCell::new(layer, r, c));
-            if remaining.covers_rect(r0, c0, r1, c1) {
-                covered.push((r, c));
+/// One pyramid layer: a `rows x cols` bit grid, each row padded to whole
+/// `u64` words (LSB-first) so rows can be combined word by word.
+#[derive(Clone)]
+struct BitGrid {
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl BitGrid {
+    fn new(rows: usize, cols: usize) -> Self {
+        let stride = cols.div_ceil(64);
+        BitGrid {
+            rows,
+            cols,
+            stride,
+            words: vec![0; rows * stride],
+        }
+    }
+
+    /// The mask's bits re-laid out one padded row at a time.
+    fn from_mask(mask: &Mask) -> Self {
+        let (h, w) = (mask.h(), mask.w());
+        let src = mask.words();
+        let mut g = BitGrid::new(h, w);
+        for r in 0..h {
+            for j in 0..g.stride {
+                let start = r * w + j * 64;
+                let n = (w - j * 64).min(64);
+                let (wi, sh) = (start / 64, start % 64);
+                let mut v = src[wi] >> sh;
+                if sh != 0 && wi + 1 < src.len() {
+                    v |= src[wi + 1] << (64 - sh);
+                }
+                if n < 64 {
+                    v &= (1u64 << n) - 1;
+                }
+                g.words[r * g.stride + j] = v;
+            }
+        }
+        g
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    #[inline]
+    fn get(&self, r: usize, c: usize) -> bool {
+        self.words[r * self.stride + c / 64] >> (c % 64) & 1 == 1
+    }
+
+    /// The next pyramid layer (`rows x cols` cells of `k x k` children
+    /// each): a cell is set iff all its children are.
+    fn coarsen(&self, k: usize, rows: usize, cols: usize) -> BitGrid {
+        let mut out = BitGrid::new(rows, cols);
+        let mut all = vec![0u64; self.stride];
+        for pr in 0..rows {
+            // the columns set in all k child rows
+            all.copy_from_slice(self.row(pr * k));
+            for i in 1..k {
+                for (a, &b) in all.iter_mut().zip(self.row(pr * k + i)) {
+                    *a &= b;
+                }
+            }
+            let dst = &mut out.words[pr * out.stride..(pr + 1) * out.stride];
+            if k == 2 {
+                // adjacent column pairs never straddle a word (64 is even)
+                for (j, &a) in all.iter().enumerate() {
+                    dst[j / 2] |= compress_even(a & (a >> 1)) << (32 * (j % 2));
+                }
+            } else {
+                for pc in 0..cols {
+                    let full = for_range(pc * k, pc * k + k, |i, bits| all[i] & bits == bits);
+                    if full {
+                        dst[pc / 64] |= 1 << (pc % 64);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `self` without the cells whose parent (one layer coarser, `k x k`
+    /// children per cell) is set in `parent`.
+    fn minus_children_of(&self, parent: &BitGrid, k: usize) -> BitGrid {
+        let mut out = self.clone();
+        for r in 0..self.rows {
+            let prow = parent.row(r / k);
+            let row = &mut out.words[r * self.stride..(r + 1) * self.stride];
+            if k == 2 {
+                for (j, w) in row.iter_mut().enumerate() {
+                    let half = (prow[j / 2] >> (32 * (j % 2))) & 0xffff_ffff;
+                    let under = spread_even(half);
+                    *w &= !(under | under << 1);
+                }
+            } else {
+                for (j, w) in row.iter_mut().enumerate() {
+                    for b in Bits(*w) {
+                        if parent.get(r / k, (j * 64 + b) / k) {
+                            *w &= !(1 << b);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Consumes the grid into groups: 4-connected components among set
+    /// cells sharing a `block x block` parent, each emitted with its cells
+    /// sorted, in the row-major order of their first cell.
+    fn take_groups(&mut self, block: usize, mut emit: impl FnMut(Vec<(usize, usize)>)) {
+        for r in 0..self.rows {
+            for j in 0..self.stride {
+                loop {
+                    // re-read: a flood fill may have taken later bits of
+                    // this word
+                    let word = self.words[r * self.stride + j];
+                    if word == 0 {
+                        break;
+                    }
+                    let c = j * 64 + word.trailing_zeros() as usize;
+                    emit(self.flood(r, c, block));
+                }
             }
         }
     }
-    covered
-}
 
-/// Groups covered cells into connected components where an edge exists
-/// between cells that are 4-adjacent *and* share the same parent grid.
-/// Cells of the coarsest layer have no parent, so they always form
-/// singleton groups.
-fn group_cells(
-    hier: &Hierarchy,
-    layer: usize,
-    covered: &[(usize, usize)],
-) -> Vec<Vec<(usize, usize)>> {
-    use std::collections::HashMap;
-    if layer + 1 >= hier.num_layers() {
-        return covered.iter().map(|&c| vec![c]).collect();
-    }
-    let index: HashMap<(usize, usize), usize> =
-        covered.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut visited = vec![false; covered.len()];
-    let mut groups = Vec::new();
-    for start in 0..covered.len() {
-        if visited[start] {
-            continue;
+    /// Takes the component of `(r, c)` within its `block x block` parent.
+    fn flood(&mut self, r: usize, c: usize, block: usize) -> Vec<(usize, usize)> {
+        self.clear(r, c);
+        let mut comp = vec![(r, c)];
+        if block == 1 {
+            return comp;
         }
-        visited[start] = true;
-        let mut comp = vec![covered[start]];
-        let mut stack = vec![covered[start]];
-        while let Some((r, c)) = stack.pop() {
-            let cell = LayerCell::new(layer, r, c);
+        let (br, bc) = (r / block, c / block);
+        let mut next = 0;
+        while next < comp.len() {
+            let (r, c) = comp[next];
+            next += 1;
             let neighbours = [
                 (r.wrapping_sub(1), c),
                 (r + 1, c),
@@ -138,19 +252,45 @@ fn group_cells(
                 (r, c + 1),
             ];
             for (nr, nc) in neighbours {
-                if let Some(&ni) = index.get(&(nr, nc)) {
-                    if !visited[ni] && hier.same_parent(cell, LayerCell::new(layer, nr, nc)) {
-                        visited[ni] = true;
-                        comp.push((nr, nc));
-                        stack.push((nr, nc));
-                    }
+                let inside =
+                    nr < self.rows && nc < self.cols && nr / block == br && nc / block == bc;
+                if inside && self.get(nr, nc) {
+                    self.clear(nr, nc);
+                    comp.push((nr, nc));
                 }
             }
         }
         comp.sort_unstable();
-        groups.push(comp);
+        comp
     }
-    groups
+
+    #[inline]
+    fn clear(&mut self, r: usize, c: usize) {
+        self.words[r * self.stride + c / 64] &= !(1 << (c % 64));
+    }
+}
+
+/// Gathers the even bits of `x` into its low 32 bits.
+#[inline]
+fn compress_even(mut x: u64) -> u64 {
+    x &= 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    (x | x >> 16) & 0x0000_0000_ffff_ffff
+}
+
+/// Spreads the low 32 bits of `x` onto the even bits (the inverse of
+/// [`compress_even`]).
+#[inline]
+fn spread_even(mut x: u64) -> u64 {
+    x &= 0x0000_0000_ffff_ffff;
+    x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
 }
 
 #[cfg(test)]

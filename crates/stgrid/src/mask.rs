@@ -3,31 +3,58 @@
 /// A binary mask over the atomic raster: the assignment matrix `A^R` of a
 /// rasterized region.
 ///
-/// `Hash` hashes the dimensions and bit vector, consistently with `Eq`, so
-/// masks can key memo tables (the region server's decomposition cache and
-/// the compiled-plan cache).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Stored bit-packed: cell `(r, c)` is bit `i = r * w + c` of the raster,
+/// held in `words[i / 64]` at bit `i % 64` (row-major, LSB-first over the
+/// whole raster), so the little-endian bytes of the words are exactly the
+/// wire's packed-bit form. Bits past `h * w` in the last word are always
+/// zero, which lets the derived `Eq` and `Hash` compare and hash whole
+/// words: masks key memo tables (the compiled-plan cache, the shard
+/// router's decomposition memo) at one bit per cell.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mask {
     h: usize,
     w: usize,
-    bits: Vec<bool>,
+    words: Vec<u64>,
 }
 
-impl std::hash::Hash for Mask {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Pack 64 cells per hasher word: the derived impl fed the hasher
-        // one byte per cell, which made every mask-keyed memo lookup pay
-        // ~h*w hasher calls. Equal masks have equal (h, w, bits), so any
-        // deterministic packing stays consistent with `Eq`.
-        state.write_usize(self.h);
-        state.write_usize(self.w);
-        for chunk in self.bits.chunks(64) {
-            let mut word = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                word |= (b as u64) << i;
-            }
-            state.write_u64(word);
+/// Bits `lo..hi` of one word (`lo < hi <= 64`).
+#[inline]
+fn span(lo: usize, hi: usize) -> u64 {
+    let top = if hi == 64 { !0 } else { (1u64 << hi) - 1 };
+    top & (!0u64 << lo)
+}
+
+/// Splits the flat bit range `start..end` into `(word index, bit mask)`
+/// pieces and folds them with `f`, stopping early when `f` returns false.
+/// Returns whether every call returned true.
+#[inline]
+pub(crate) fn for_range(start: usize, end: usize, mut f: impl FnMut(usize, u64) -> bool) -> bool {
+    let mut i = start;
+    while i < end {
+        let lo = i % 64;
+        let hi = (lo + (end - i)).min(64);
+        if !f(i / 64, span(lo, hi)) {
+            return false;
         }
+        i += hi - lo;
+    }
+    true
+}
+
+/// Indices of the set bits of one word, ascending.
+pub(crate) struct Bits(pub(crate) u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let b = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(b)
     }
 }
 
@@ -38,24 +65,58 @@ impl Mask {
         Mask {
             h,
             w,
-            bits: vec![false; h * w],
+            words: vec![0; (h * w).div_ceil(64)],
         }
     }
 
     /// Creates a full (all-one) mask — the matrix `S_1` of the paper.
     pub fn full(h: usize, w: usize) -> Self {
-        assert!(h > 0 && w > 0, "mask dimensions must be positive");
-        Mask {
-            h,
-            w,
-            bits: vec![true; h * w],
-        }
+        let mut m = Mask::empty(h, w);
+        for_range(0, h * w, |i, bits| {
+            m.words[i] = bits;
+            true
+        });
+        m
     }
 
     /// Creates a mask from an explicit bit buffer (row-major).
     pub fn from_bits(h: usize, w: usize, bits: Vec<bool>) -> Self {
         assert_eq!(bits.len(), h * w, "bit buffer does not match dimensions");
-        Mask { h, w, bits }
+        let mut m = Mask::empty(h, w);
+        for (word, chunk) in m.words.iter_mut().zip(bits.chunks(64)) {
+            *word = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, &b)| acc | (b as u64) << i);
+        }
+        m
+    }
+
+    /// Creates a mask from its packed words (the layout documented on
+    /// [`Mask`]).
+    ///
+    /// # Panics
+    /// Panics if `words` has the wrong length for `h * w` cells or a bit
+    /// past the last cell is set.
+    pub fn from_words(h: usize, w: usize, words: Vec<u64>) -> Self {
+        assert!(h > 0 && w > 0, "mask dimensions must be positive");
+        let cells = h * w;
+        assert_eq!(
+            words.len(),
+            cells.div_ceil(64),
+            "word buffer does not match dimensions"
+        );
+        assert!(
+            cells.is_multiple_of(64) || words[cells / 64] >> (cells % 64) == 0,
+            "bits set past the last cell"
+        );
+        Mask { h, w, words }
+    }
+
+    /// The packed words (the layout documented on [`Mask`]).
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Creates a rectangular mask covering `[r0, r1) x [c0, c1)`.
@@ -65,11 +126,7 @@ impl Mask {
             "rect out of bounds"
         );
         let mut m = Mask::empty(h, w);
-        for r in r0..r1 {
-            for c in c0..c1 {
-                m.set(r, c, true);
-            }
-        }
+        m.set_rect(r0, c0, r1, c1);
         m
     }
 
@@ -89,92 +146,106 @@ impl Mask {
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> bool {
         debug_assert!(row < self.h && col < self.w);
-        self.bits[row * self.w + col]
+        let i = row * self.w + col;
+        self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Writes one bit.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: bool) {
         debug_assert!(row < self.h && col < self.w);
-        self.bits[row * self.w + col] = value;
+        let i = row * self.w + col;
+        let bit = 1u64 << (i % 64);
+        if value {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
     }
 
     /// Number of set cells (the region's area in atomic grids).
     pub fn area(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no cell is set.
     pub fn is_empty(&self) -> bool {
-        !self.bits.iter().any(|&b| b)
+        self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterator over the set cells as `(row, col)`.
+    /// Iterator over the set cells as `(row, col)`, row-major.
     pub fn iter_set(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let w = self.w;
-        self.bits
+        self.words
             .iter()
             .enumerate()
-            .filter(|(_, &b)| b)
-            .map(move |(i, _)| (i / w, i % w))
+            .flat_map(|(wi, &word)| Bits(word).map(move |b| wi * 64 + b))
+            .map(move |i| (i / w, i % w))
     }
 
     /// Set union (in place).
     pub fn union_with(&mut self, other: &Mask) {
-        self.check_dims(other);
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-        }
+        self.zip_words(other, |a, b| a | b);
     }
 
     /// Set difference (in place): removes `other`'s cells.
     pub fn subtract(&mut self, other: &Mask) {
-        self.check_dims(other);
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
-            *a &= !b;
-        }
+        self.zip_words(other, |a, b| a & !b);
     }
 
     /// Set intersection (in place).
     pub fn intersect_with(&mut self, other: &Mask) {
-        self.check_dims(other);
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
-            *a &= b;
-        }
+        self.zip_words(other, |a, b| a & b);
     }
 
     /// Whether the two masks share any cell.
     pub fn intersects(&self, other: &Mask) -> bool {
         self.check_dims(other);
-        self.bits.iter().zip(&other.bits).any(|(&a, &b)| a && b)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .any(|(&a, &b)| a & b != 0)
     }
 
     /// Whether every set cell of `self` is also set in `other`
     /// (`self ⊆ other`).
     pub fn is_subset_of(&self, other: &Mask) -> bool {
         self.check_dims(other);
-        self.bits.iter().zip(&other.bits).all(|(&a, &b)| !a || b)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(&a, &b)| a & !b == 0)
     }
 
     /// Whether the rectangle `[r0, r1) x [c0, c1)` is fully covered.
     pub fn covers_rect(&self, r0: usize, c0: usize, r1: usize, c1: usize) -> bool {
         debug_assert!(r1 <= self.h && c1 <= self.w);
+        (r0..r1).all(|r| {
+            for_range(r * self.w + c0, r * self.w + c1, |i, bits| {
+                self.words[i] & bits == bits
+            })
+        })
+    }
+
+    /// Sets every cell of the rectangle `[r0, r1) x [c0, c1)`.
+    pub fn set_rect(&mut self, r0: usize, c0: usize, r1: usize, c1: usize) {
+        debug_assert!(r1 <= self.h && c1 <= self.w);
         for r in r0..r1 {
-            let row = &self.bits[r * self.w + c0..r * self.w + c1];
-            if !row.iter().all(|&b| b) {
-                return false;
-            }
+            for_range(r * self.w + c0, r * self.w + c1, |i, bits| {
+                self.words[i] |= bits;
+                true
+            });
         }
-        true
     }
 
     /// Clears the rectangle `[r0, r1) x [c0, c1)`.
     pub fn clear_rect(&mut self, r0: usize, c0: usize, r1: usize, c1: usize) {
         debug_assert!(r1 <= self.h && c1 <= self.w);
         for r in r0..r1 {
-            for b in &mut self.bits[r * self.w + c0..r * self.w + c1] {
-                *b = false;
-            }
+            for_range(r * self.w + c0, r * self.w + c1, |i, bits| {
+                self.words[i] &= !bits;
+                true
+            });
         }
     }
 
@@ -193,37 +264,30 @@ impl Mask {
     }
 
     /// 4-connected components of the set cells, each returned as its own
-    /// mask.
+    /// mask, ordered by their first cell (row-major).
     pub fn connected_components(&self) -> Vec<Mask> {
-        let mut seen = vec![false; self.bits.len()];
+        let mut left = self.clone();
         let mut out = Vec::new();
-        for start in 0..self.bits.len() {
-            if !self.bits[start] || seen[start] {
-                continue;
-            }
+        loop {
+            let Some(start) = left.iter_set().next() else {
+                break;
+            };
             let mut comp = Mask::empty(self.h, self.w);
+            left.set(start.0, start.1, false);
             let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(i) = stack.pop() {
-                comp.bits[i] = true;
-                let (r, c) = (i / self.w, i % self.w);
-                let push = |j: usize, seen: &mut Vec<bool>, stack: &mut Vec<usize>| {
-                    if self.bits[j] && !seen[j] {
-                        seen[j] = true;
-                        stack.push(j);
+            while let Some((r, c)) = stack.pop() {
+                comp.set(r, c, true);
+                let neighbours = [
+                    (r.wrapping_sub(1), c),
+                    (r + 1, c),
+                    (r, c.wrapping_sub(1)),
+                    (r, c + 1),
+                ];
+                for (nr, nc) in neighbours {
+                    if nr < self.h && nc < self.w && left.get(nr, nc) {
+                        left.set(nr, nc, false);
+                        stack.push((nr, nc));
                     }
-                };
-                if r > 0 {
-                    push(i - self.w, &mut seen, &mut stack);
-                }
-                if r + 1 < self.h {
-                    push(i + self.w, &mut seen, &mut stack);
-                }
-                if c > 0 {
-                    push(i - 1, &mut seen, &mut stack);
-                }
-                if c + 1 < self.w {
-                    push(i + 1, &mut seen, &mut stack);
                 }
             }
             out.push(comp);
@@ -234,6 +298,13 @@ impl Mask {
     /// Whether the set cells form a single 4-connected component.
     pub fn is_connected(&self) -> bool {
         !self.is_empty() && self.connected_components().len() == 1
+    }
+
+    fn zip_words(&mut self, other: &Mask, op: impl Fn(u64, u64) -> u64) {
+        self.check_dims(other);
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+            *a = op(*a, b);
+        }
     }
 
     fn check_dims(&self, other: &Mask) {
@@ -315,6 +386,25 @@ mod tests {
         assert!(!m.covers_rect(1, 1, 3, 3));
         m.clear_rect(0, 0, 2, 4);
         assert_eq!(m.area(), 7); // bottom half (8) minus the hole at (2,2)
+    }
+
+    #[test]
+    fn rect_rows_straddle_word_boundaries() {
+        // 3 x 65: every row after the first starts mid-word
+        let m = Mask::rect(3, 65, 0, 60, 3, 65);
+        assert_eq!(m.area(), 15);
+        assert!(m.covers_rect(0, 60, 3, 65));
+        assert!(!m.covers_rect(0, 59, 3, 65));
+        assert_eq!(m.words().len(), 4);
+        assert_eq!(Mask::full(3, 65).words()[3], 0b111);
+    }
+
+    #[test]
+    fn words_round_trip_and_reject_padding() {
+        let m = Mask::rect(5, 7, 1, 2, 4, 6);
+        assert_eq!(Mask::from_words(5, 7, m.words().to_vec()), m);
+        let bad = std::panic::catch_unwind(|| Mask::from_words(5, 7, vec![1u64 << 35]));
+        assert!(bad.is_err(), "bit 35 lies past the 35 cells");
     }
 
     #[test]

@@ -191,7 +191,10 @@ grep -q '"outcomes"' "$SMOKE_DIR/BENCH_serve.json"
 # smoke within 3% of the pre-tracing gate.
 awk '
     /"throughput_rps"/ { gsub(/[^0-9.]/, "", $2); rps = $2 + 0 }
-    /"protocol_errors"/ { gsub(/[^0-9.]/, "", $2); perr = $2 + 0 }
+    /"protocol_errors"/ {
+        match($0, /"protocol_errors": [0-9]+/)
+        perr = substr($0, RSTART + 19, RLENGTH - 19) + 0
+    }
     END {
         printf "serve smoke throughput %.1f rps (gate: >= %.1f)\n", rps, 4645.7 * 1.5 * 0.97
         if (rps < 4645.7 * 1.5 * 0.97) { print "FAIL: epoll data plane slower than 0.97 * 1.5x the thread-per-connection baseline"; exit 1 }
@@ -220,7 +223,10 @@ wait "$SSERVE_PID"
 grep -q 'shard router bit-identity verified' "$SMOKE_DIR/sharded-serve.log" \
     || { echo "sharded serve never verified bit-identity"; exit 1; }
 awk '
-    /"protocol_errors"/ { gsub(/[^0-9.]/, "", $2); perr = $2 + 0 }
+    /"protocol_errors"/ {
+        match($0, /"protocol_errors": [0-9]+/)
+        perr = substr($0, RSTART + 19, RLENGTH - 19) + 0
+    }
     /"shard_loads"/ { loads = $0 }
     END {
         if (perr != 0) { print "FAIL: protocol errors on the sharded run"; exit 1 }
@@ -267,6 +273,14 @@ for shard in 0 1; do
     grep -q "^o4a_shard_routed_total{shard=\"$shard\"}" "$SMOKE_DIR/smetrics.prom" \
         || { echo "smetrics.prom is missing o4a_shard_routed_total{shard=\"$shard\"}"; exit 1; }
 done
+# The shard router keeps the one decomposition memo left in the system
+# (an unsharded backend decomposes only on a plan-cache miss), so its
+# counters are exported by the sharded server.
+for metric in o4a_decomp_cache_hits_total o4a_decomp_cache_misses_total \
+    o4a_decomp_cache_entries; do
+    grep -q "^$metric" "$SMOKE_DIR/smetrics.prom" \
+        || { echo "smetrics.prom is missing $metric"; exit 1; }
+done
 
 # METRICS smoke: the scrape from the live server must be a well-formed
 # exposition containing the serving counters and query-stage histograms.
@@ -274,9 +288,7 @@ echo "==> METRICS exposition smoke"
 for metric in o4a_serve_requests_total o4a_serve_busy_total \
     o4a_serve_protocol_errors_total o4a_query_decompose_ns_bucket \
     o4a_query_lookup_ns_count o4a_query_aggregate_ns_sum \
-    o4a_decomp_cache_hits_total o4a_decomp_cache_misses_total \
-    o4a_decomp_cache_entries o4a_plan_cache_hits_total \
-    o4a_plan_cache_misses_total o4a_plan_cache_evictions_total \
+    o4a_plan_cache_hits_total o4a_plan_cache_misses_total o4a_plan_cache_evictions_total \
     o4a_plan_cache_entries o4a_compiled_terms_bucket \
     o4a_isa_active o4a_isa_feature_avx2 \
     o4a_loop0_epoll_wait_ns_bucket o4a_loop0_ready_events_count \
@@ -285,6 +297,48 @@ for metric in o4a_serve_requests_total o4a_serve_busy_total \
     grep -q "^$metric" "$SMOKE_DIR/metrics.prom" \
         || { echo "metrics.prom is missing $metric"; exit 1; }
 done
+
+# Paper-scale serve smoke: the 128x128 raster with loadgen's Task 1-4
+# pool (2,203 distinct masks), the Fig. 15 workload. Every mask must be
+# answered (no error outcomes, no protocol errors), and the plan cache
+# must absorb the repeats: a mask decomposes and compiles only on its
+# first visit, so over several passes the hit rate must reach 0.9. The
+# throughput is printed, not gated (wall-clock floors need a
+# drift-normalized witness).
+echo "==> paper-scale serve smoke (serve --side 128 + loadgen Task 1-4 pool, ~3s)"
+./target/release/serve --addr 127.0.0.1:0 --addr-file "$SMOKE_DIR/addr128" \
+    --side 128 --artifacts "$SMOKE_DIR/artifacts128" --run-secs 8 \
+    > "$SMOKE_DIR/serve128.log" 2>&1 &
+SERVE128_PID=$!
+./target/release/loadgen --addr-file "$SMOKE_DIR/addr128" --threads 2 \
+    --secs 3 --out "$SMOKE_DIR/BENCH_serve128.json"
+wait "$SERVE128_PID"
+awk '
+    /"throughput_rps"/ { gsub(/[^0-9.]/, "", $2); rps = $2 + 0 }
+    /"client_errors"/ { gsub(/[^0-9.]/, "", $2); cerr = $2 + 0 }
+    /"outcomes"/ {
+        match($0, /"error": [0-9]+/)
+        oerr = substr($0, RSTART + 9, RLENGTH - 9) + 0
+        outcomes = 1
+    }
+    /"protocol_errors"/ {
+        match($0, /"protocol_errors": [0-9]+/)
+        perr = substr($0, RSTART + 19, RLENGTH - 19) + 0
+        perr_seen = 1
+    }
+    /"plan_cache"/ {
+        match($0, /"hit_rate": [0-9.]+/)
+        rate = substr($0, RSTART + 12, RLENGTH - 12) + 0
+        seen = 1
+    }
+    END {
+        printf "side-128 serve smoke: %.1f rps, plan-cache hit rate %.3f\n", rps, rate
+        if (!outcomes || !seen || !perr_seen) { print "FAIL: side-128 bench JSON lacks outcomes, plan_cache or server counters"; exit 1 }
+        if (cerr != 0 || oerr != 0) { print "FAIL: error outcomes on the side-128 run"; exit 1 }
+        if (perr != 0) { print "FAIL: protocol errors on the side-128 run"; exit 1 }
+        if (rate < 0.9) { print "FAIL: side-128 plan-cache hit rate below 0.9"; exit 1 }
+    }
+' "$SMOKE_DIR/BENCH_serve128.json"
 
 # Ensemble serve smoke: cold-start a 2-member ensemble from its O4AENS01
 # artifact, drive it with the load generator, and require the ensemble
