@@ -373,9 +373,12 @@ pub trait PlanSource: Send + Sync {
     /// 2–3 cells at `layer`); `false` (nothing pushed) when there is none.
     fn push_multi(&self, layer: usize, cells: &[(usize, usize)], b: &mut PlanBuilder) -> bool;
 
-    /// Registers the source's metrics and returns the handles the query
-    /// engine records its stages into.
-    fn metrics(&self) -> crate::server::StageMetrics;
+    /// Registers the source's own metrics and returns one histogram per
+    /// member for the terms each execution reads from it; empty (the
+    /// default) when the source exports none.
+    fn metrics(&self) -> Vec<Arc<o4a_obs::Histogram>> {
+        Vec::new()
+    }
 }
 
 /// The one compile walk: resolves a decomposition against any
@@ -626,11 +629,6 @@ impl PlanCache {
                     lru.order.insert(lru.clock, hash);
                     drop(guard);
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    o4a_obs::counter!(
-                        "o4a_plan_cache_hits_total",
-                        "compiled-plan cache hits across all query backends"
-                    )
-                    .inc();
                     return plan;
                 }
                 // stale epoch: the index was swapped; never serve it
@@ -638,21 +636,11 @@ impl PlanCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        o4a_obs::counter!(
-            "o4a_plan_cache_misses_total",
-            "compiled-plan cache misses across all query backends"
-        )
-        .inc();
         let plan = Arc::new(compile());
         let mut guard = self.lru.lock();
         let lru = &mut *guard;
         if lru.order.len() >= self.cap && lru.evict_oldest() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            o4a_obs::counter!(
-                "o4a_plan_cache_evictions_total",
-                "compiled plans evicted by the LRU cap"
-            )
-            .inc();
         }
         lru.clock += 1;
         let entry = PlanEntry {
@@ -663,10 +651,6 @@ impl PlanCache {
         };
         lru.map.entry(hash).or_default().push(entry);
         lru.order.insert(lru.clock, hash);
-        let entries = lru.order.len();
-        drop(guard);
-        o4a_obs::gauge!("o4a_plan_cache_entries", "compiled plans currently cached")
-            .set(entries as f64);
         plan
     }
 }

@@ -48,5 +48,5 @@ pub use network::{NetworkConfig, One4AllNet};
 pub use one4all::One4AllSt;
 pub use server::{
     ModelServer, PredictionStore, PublishError, QueryBackend, QueryEngine, QueryTiming,
-    RegionServer, StageMetrics, StoreSet,
+    RegionServer, StoreSet,
 };

@@ -369,21 +369,39 @@ impl<P: o4a_models::multiscale::PyramidPredictor> ModelServer<P> {
     }
 }
 
-/// Metric handles a [`QueryEngine`] records into, taken once at
-/// construction from its [`PlanSource`]. The single-model and ensemble
-/// namespaces stay distinct (`o4a_query_*` vs `o4a_ensemble_*`).
-pub struct StageMetrics {
+/// The histograms a [`QueryEngine`] records each query into. The stage
+/// histograms are shared by every engine in the process, whatever its plan
+/// source; the member-terms histograms come from the source.
+struct StageMetrics {
     /// Per-query decomposition time: Algorithm 1 on a plan-cache miss,
     /// zero on a hit.
-    pub decompose: Arc<Histogram>,
+    decompose: Arc<Histogram>,
     /// Per-query plan-cache lookup (and compile on a miss) time,
     /// excluding the decomposition.
-    pub lookup: Arc<Histogram>,
+    lookup: Arc<Histogram>,
     /// Per-query compiled aggregation time.
-    pub aggregate: Arc<Histogram>,
+    aggregate: Arc<Histogram>,
     /// Per member: terms read from that member per execution. Empty when
     /// the source does not export them.
-    pub member_terms: Vec<Arc<Histogram>>,
+    member_terms: Vec<Arc<Histogram>>,
+}
+
+impl StageMetrics {
+    fn register(source: &impl PlanSource) -> Self {
+        let reg = o4a_obs::global();
+        StageMetrics {
+            decompose: reg.histogram(
+                "o4a_query_decompose_ns",
+                "per-query hierarchical decomposition time (zero on a plan-cache hit)",
+            ),
+            lookup: reg.histogram("o4a_query_lookup_ns", "per-query plan-cache lookup time"),
+            aggregate: reg.histogram(
+                "o4a_query_aggregate_ns",
+                "per-query signed aggregation time over the prediction snapshots",
+            ),
+            member_terms: source.metrics(),
+        }
+    }
 }
 
 impl PlanSource for CombinationIndex {
@@ -405,25 +423,6 @@ impl PlanSource for CombinationIndex {
 
     fn push_multi(&self, layer: usize, cells: &[(usize, usize)], b: &mut PlanBuilder) -> bool {
         push_combination(self.for_multi(layer, cells), b)
-    }
-
-    fn metrics(&self) -> StageMetrics {
-        let reg = o4a_obs::global();
-        StageMetrics {
-            decompose: reg.histogram(
-                "o4a_query_decompose_ns",
-                "per-query hierarchical decomposition time (zero on a plan-cache hit)",
-            ),
-            lookup: reg.histogram(
-                "o4a_query_lookup_ns",
-                "per-query combination-index lookup time",
-            ),
-            aggregate: reg.histogram(
-                "o4a_query_aggregate_ns",
-                "per-query signed aggregation time over the prediction snapshot",
-            ),
-            member_terms: Vec::new(),
-        }
     }
 }
 
@@ -508,27 +507,13 @@ impl<S: PlanSource> QueryEngine<S> {
         // registered before the first scrape (and the choice is logged
         // during server bring-up rather than mid-query).
         let _ = o4a_tensor::isa::active();
-        // Pre-register the cache metrics so a scrape before the first
-        // query already exposes them at zero (no samples are recorded
-        // here).
-        let _ = o4a_obs::counter!(
-            "o4a_plan_cache_hits_total",
-            "compiled-plan cache hits across all query backends"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_plan_cache_misses_total",
-            "compiled-plan cache misses across all query backends"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_plan_cache_evictions_total",
-            "compiled plans evicted by the LRU cap"
-        );
-        let _ = o4a_obs::gauge!("o4a_plan_cache_entries", "compiled plans currently cached");
+        // Pre-register the histograms so a scrape before the first query
+        // already exposes them (no samples are recorded here).
         let _ = o4a_obs::histogram!(
             "o4a_compiled_terms",
             "resolved terms per compiled query execution"
         );
-        let metrics = source.metrics();
+        let metrics = StageMetrics::register(&source);
         QueryEngine {
             source,
             stores,
@@ -565,6 +550,11 @@ impl<S: PlanSource> QueryEngine<S> {
     /// engine was created. Surfaced by the serving layer's STATS verb.
     pub fn plan_cache_stats(&self) -> (u64, u64, u64) {
         self.plan_cache.stats()
+    }
+
+    /// Compiled plans cached now.
+    pub fn plan_cache_entries(&self) -> u64 {
+        self.plan_cache.len() as u64
     }
 
     /// Total terms executed since start.
@@ -818,10 +808,22 @@ pub trait QueryBackend: Send + Sync {
         (0, 0)
     }
 
+    /// Decompositions the backend's mask-to-groups memo holds now; `0`
+    /// for a backend without one.
+    fn decomp_cache_entries(&self) -> u64 {
+        0
+    }
+
     /// `(hits, misses, evictions)` of the backend's compiled-plan cache;
     /// all zeros for a backend without one.
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
         (0, 0, 0)
+    }
+
+    /// Compiled plans the backend's cache holds now; `0` for a backend
+    /// without one.
+    fn plan_cache_entries(&self) -> u64 {
+        0
     }
 
     /// Total terms executed since start; `0` for a backend without a
@@ -863,6 +865,10 @@ impl<S: PlanSource> QueryBackend for QueryEngine<S> {
 
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
         QueryEngine::plan_cache_stats(self)
+    }
+
+    fn plan_cache_entries(&self) -> u64 {
+        QueryEngine::plan_cache_entries(self)
     }
 
     fn compiled_terms(&self) -> u64 {

@@ -16,9 +16,11 @@
 
 use crate::plan::{EnsemblePlan, ModelCombination};
 use o4a_core::compiled::{compile, CompiledPlan, PlanBuilder, PlanSource};
-use o4a_core::server::{QueryEngine, StageMetrics};
+use o4a_core::server::QueryEngine;
 use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
+use o4a_obs::Histogram;
+use std::sync::Arc;
 
 /// The ensemble server: a [`QueryEngine`] over an [`EnsemblePlan`] and
 /// one prediction store per member (`stores[m]` backs member `m`).
@@ -54,15 +56,14 @@ impl PlanSource for EnsemblePlan {
         push_combination(self.for_multi(layer, cells), b)
     }
 
-    /// Exports the plan's gauges and returns the `o4a_ensemble_*` stage
-    /// histograms (the ensemble namespace keeps single-model and ensemble
-    /// latency distributions separable on one scrape endpoint) plus one
-    /// served-term histogram per member. Per-member *time* cannot be
-    /// measured without splitting the accumulation by member, which would
-    /// change the reduction order and break bit-identity with the
-    /// single-model path — term counts are the per-member stage signal
-    /// instead.
-    fn metrics(&self) -> StageMetrics {
+    /// Exports the plan's gauges and returns one served-term histogram
+    /// per member. Per-member *time* cannot be measured without
+    /// splitting the accumulation by member, which would change the
+    /// reduction order and break bit-identity with the single-model path
+    /// — term counts are the per-member stage signal instead. The plan
+    /// revision is not a gauge here: STATS carries it, and METRICS
+    /// renders it from there as `o4a_ensemble_plan_revision`.
+    fn metrics(&self) -> Vec<Arc<Histogram>> {
         let reg = o4a_obs::global();
         reg.gauge(
             "o4a_ensemble_members",
@@ -74,11 +75,6 @@ impl PlanSource for EnsemblePlan {
             "validation SSE of the active ensemble plan",
         )
         .set(self.report.plan_cost);
-        reg.gauge(
-            "o4a_ensemble_plan_revision",
-            "revision of the active ensemble plan",
-        )
-        .set(self.revision as f64);
         let cells = self.cells_per_model();
         let mut member_terms = Vec::with_capacity(self.members.len());
         for (name, &count) in self.members.iter().zip(&cells) {
@@ -93,21 +89,7 @@ impl PlanSource for EnsemblePlan {
                 "combination terms served from this member per query",
             ));
         }
-        StageMetrics {
-            decompose: reg.histogram(
-                "o4a_ensemble_decompose_ns",
-                "per-query hierarchical decomposition time in the ensemble server",
-            ),
-            lookup: reg.histogram(
-                "o4a_ensemble_lookup_ns",
-                "per-query ensemble-plan lookup time",
-            ),
-            aggregate: reg.histogram(
-                "o4a_ensemble_aggregate_ns",
-                "per-query signed aggregation time over the member snapshots",
-            ),
-            member_terms,
-        }
+        member_terms
     }
 }
 
@@ -139,7 +121,6 @@ mod tests {
     use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
     use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
     use o4a_grid::mask::Mask;
-    use std::sync::Arc;
 
     fn hier4() -> Hierarchy {
         Hierarchy::new(4, 4, 2, 3).unwrap()

@@ -8,10 +8,9 @@
 //! `o4a_serve_requests_total`, `o4a_query_decompose_ns`. Names are plain
 //! `[a-zA-Z_][a-zA-Z0-9_]*`, so exposition ordering is exactly the
 //! registry's sorted-name order and golden tests can compare strings.
-//! The one labeled form is [`Registry::labeled_counter`]: a counter
-//! family under a single base name with exactly one label key (e.g.
-//! `o4a_shard_routed_total{shard="0"}`), rendered as one `HELP`/`TYPE`
-//! block with its children in sorted label order.
+//! Per-server counters (requests, cache hits, shard loads) are not
+//! registered here: each server keeps them in its own atomics and the
+//! serving layer appends them to this registry's exposition.
 //!
 //! # Bucket layout
 //!
@@ -187,17 +186,12 @@ enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
-    /// A counter family sharing one base name, keyed by one label.
-    LabeledCounter {
-        label_key: &'static str,
-        children: Arc<Mutex<BTreeMap<String, Arc<Counter>>>>,
-    },
 }
 
 impl Metric {
     fn kind(&self) -> &'static str {
         match self {
-            Metric::Counter(_) | Metric::LabeledCounter { .. } => "counter",
+            Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
@@ -290,59 +284,6 @@ impl Registry {
         )
     }
 
-    /// Registers (or retrieves) one child of a labeled counter family:
-    /// the sample rendered as `name{label_key="label_value"}`. Every
-    /// call for the same base name must pass the same `label_key`; the
-    /// base name cannot collide with an unlabeled metric. Label values
-    /// are restricted to `[a-zA-Z0-9_.:-]+` so the exposition needs no
-    /// escaping.
-    pub fn labeled_counter(
-        &self,
-        name: &str,
-        help: &'static str,
-        label_key: &'static str,
-        label_value: &str,
-    ) -> Arc<Counter> {
-        check_name(name);
-        check_name(label_key);
-        assert!(
-            !label_value.is_empty()
-                && label_value
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || "_.:-".contains(c)),
-            "invalid label value {label_value:?}"
-        );
-        let mut map = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = map.entry(name.to_string()).or_insert_with(|| Entry {
-            help,
-            metric: Metric::LabeledCounter {
-                label_key,
-                children: Arc::new(Mutex::new(BTreeMap::new())),
-            },
-        });
-        match &entry.metric {
-            Metric::LabeledCounter {
-                label_key: existing,
-                children,
-            } => {
-                assert_eq!(
-                    *existing, label_key,
-                    "metric {name:?} already registered with label {existing:?}"
-                );
-                children
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .entry(label_value.to_string())
-                    .or_insert_with(|| Arc::new(Counter::new()))
-                    .clone()
-            }
-            other => panic!(
-                "metric {name:?} already registered as a plain {}",
-                other.kind()
-            ),
-        }
-    }
-
     /// Registers (or retrieves) a histogram by name.
     pub fn histogram(&self, name: &str, help: &'static str) -> Arc<Histogram> {
         self.register(
@@ -371,15 +312,6 @@ impl Registry {
                 }
                 Metric::Gauge(g) => {
                     let _ = writeln!(out, "{name} {}", g.get());
-                }
-                Metric::LabeledCounter {
-                    label_key,
-                    children,
-                } => {
-                    let children = children.lock().unwrap_or_else(|p| p.into_inner());
-                    for (value, c) in children.iter() {
-                        let _ = writeln!(out, "{name}{{{label_key}=\"{value}\"}} {}", c.get());
-                    }
                 }
                 Metric::Histogram(h) => {
                     let counts = h.bucket_counts();
@@ -522,39 +454,6 @@ mod tests {
         let r = Registry::new();
         let _ = r.counter("o4a_conflict", "help");
         let _ = r.gauge("o4a_conflict", "help");
-    }
-
-    #[test]
-    fn labeled_counters_render_as_one_family() {
-        let r = Registry::new();
-        let s1 = r.labeled_counter("o4a_routed_total", "groups per shard", "shard", "1");
-        let s0 = r.labeled_counter("o4a_routed_total", "groups per shard", "shard", "0");
-        s0.add(3);
-        s1.add(9);
-        // re-registering the same child returns the same handle
-        r.labeled_counter("o4a_routed_total", "groups per shard", "shard", "0")
-            .inc();
-        assert_eq!(s0.get(), 4);
-        let text = r.render_prometheus();
-        let expected = "# HELP o4a_routed_total groups per shard\n\
-                        # TYPE o4a_routed_total counter\n\
-                        o4a_routed_total{shard=\"0\"} 4\n\
-                        o4a_routed_total{shard=\"1\"} 9\n";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered as a plain")]
-    fn labeled_counter_rejects_plain_name_collision() {
-        let r = Registry::new();
-        let _ = r.counter("o4a_taken", "help");
-        let _ = r.labeled_counter("o4a_taken", "help", "shard", "0");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid label value")]
-    fn labeled_counter_rejects_bad_label_values() {
-        let _ = Registry::new().labeled_counter("o4a_lv", "help", "shard", "a\"b");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! first N pool masks, so the server's compiled-plan cache (and, behind
 //! `--shards`, the router's decomposition memo) converge to a steady hit
 //! rate (reported in the JSON as `plan_cache_hit_rate` /
-//! `decomp_cache_hit_rate` from the final revision-4 STATS snapshot).
+//! `decomp_cache_hit_rate` from the final STATS snapshot).
 //!
 //! **Tail reporting.** Bucket percentiles come from the shared
 //! `o4a_obs::Histogram` (√2-geometric buckets: the reported quantile is
@@ -38,7 +38,7 @@
 //! Per-request outcomes (ok / busy / error) are counted into the JSON
 //! report together with the shed rate `busy / (ok + busy + errors)` and,
 //! when the server runs sharded, the per-shard routed-group counts from
-//! revision-3 STATS. Exits non-zero if no request succeeds, so CI can
+//! STATS. Exits non-zero if no request succeeds, so CI can
 //! gate on "the server actually served".
 //!
 //! **Stage breakdown.** With `--trace-sample N` (and a server started
@@ -138,17 +138,29 @@ fn parse_args() -> Args {
 }
 
 /// Resolve the target address, polling `--addr-file` until the server has
-/// written it (the smoke gate starts server and loadgen concurrently).
+/// written it (the smoke gate starts server and loadgen concurrently). A
+/// missing flag or an address that does not parse exits through the
+/// usage text.
 fn resolve_addr(args: &Args) -> SocketAddr {
+    let parse = |addr: &str, from: &str| -> SocketAddr {
+        addr.parse().unwrap_or_else(|_| {
+            usage_exit(USAGE, &format!("{from} must be host:port, got {addr:?}"))
+        })
+    };
     if let Some(addr) = &args.addr {
-        return addr.parse().expect("--addr must be host:port");
+        return parse(addr, "--addr");
     }
-    let path = args.addr_file.as_ref().expect("pass --addr or --addr-file");
+    let Some(path) = &args.addr_file else {
+        usage_exit(USAGE, "pass --addr or --addr-file")
+    };
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         match std::fs::read_to_string(path) {
-            Ok(s) if !s.trim().is_empty() => return s.trim().parse().expect("addr-file contents"),
-            _ if Instant::now() > deadline => panic!("timed out waiting for {}", path.display()),
+            Ok(s) if !s.trim().is_empty() => return parse(s.trim(), "--addr-file contents"),
+            _ if Instant::now() > deadline => {
+                eprintln!("error: timed out waiting for {}", path.display());
+                std::process::exit(1)
+            }
             _ => std::thread::sleep(Duration::from_millis(50)),
         }
     }
@@ -472,9 +484,8 @@ fn main() {
     );
     println!("  latency max  {max_us:>10} us");
     println!("  outcomes: {ok} ok, {busy} busy, {errors} client errors (shed rate {shed_rate:.4})");
-    // Cache hit rates and shard balance from the final revision-4 STATS
-    // snapshot (0.0 hit rate from a pre-revision-4 server decodes the
-    // counters as zero).
+    // Cache hit rates and shard balance from the final STATS snapshot
+    // (0.0 when a cache saw no lookups).
     let hit_rate = |hits: u64, misses: u64| {
         let total = hits + misses;
         if total > 0 {

@@ -47,6 +47,7 @@ use o4a_data::flow::FlowSeries;
 use o4a_data::synthetic::DatasetKind;
 use o4a_ensemble::{load_plan, plan_ensemble, profile_members, save_plan, PlanOptions};
 use o4a_ensemble::{EnsembleServer, HotspotExpert};
+use o4a_grid::hierarchy::HierarchyError;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Hierarchy;
 use o4a_models::multiscale::PyramidPredictor;
@@ -135,6 +136,23 @@ fn parse_args() -> Args {
     args
 }
 
+/// The hierarchy the synthetic and ensemble modes build: a `--side`
+/// square raster, merging window 2, `--layers` layers (default: every
+/// scale up to 32 that tiles the raster). A raster the layers cannot tile
+/// exits through the usage text before any data is generated.
+fn synthetic_hierarchy(args: &Args) -> Hierarchy {
+    let bad = |e: HierarchyError| -> ! {
+        usage_exit(USAGE, &format!("--side {} / --layers: {e}", args.side))
+    };
+    let layers = match args.layers {
+        Some(layers) => layers,
+        None => Hierarchy::with_max_scale(args.side, args.side, 2, 32)
+            .unwrap_or_else(|e| bad(e))
+            .num_layers(),
+    };
+    Hierarchy::new(args.side, args.side, 2, layers).unwrap_or_else(|e| bad(e))
+}
+
 /// Flow series long enough for `TemporalConfig::compact` prediction.
 fn synthetic_flow(side: usize) -> (FlowSeries, usize) {
     let steps = 24 * 9;
@@ -148,13 +166,7 @@ fn synthetic_flow(side: usize) -> (FlowSeries, usize) {
 /// reads only the `O4AENS01` artifact.
 fn run_ensemble(args: &Args, n: usize) {
     let cfg = TemporalConfig::compact();
-    let layers = args.layers.unwrap_or_else(|| {
-        Hierarchy::with_max_scale(args.side, args.side, 2, 32)
-            .expect("raster divisible by 2")
-            .num_layers()
-    });
-    let hier = Hierarchy::new(args.side, args.side, 2, layers)
-        .expect("raster must divide by the coarsest scale");
+    let hier = synthetic_hierarchy(args);
     let (flow, slot) = synthetic_flow(args.side);
     let plan_path = args.artifacts.join("plan.o4aens");
 
@@ -288,13 +300,7 @@ fn main() {
     let (index_path, model_path) = match &args.index {
         Some(path) => (path.clone(), args.model.clone()),
         None => {
-            let layers = args.layers.unwrap_or_else(|| {
-                Hierarchy::with_max_scale(args.side, args.side, 2, 32)
-                    .expect("raster divisible by 2")
-                    .num_layers()
-            });
-            let hier = Hierarchy::new(args.side, args.side, 2, layers)
-                .expect("raster must divide by the coarsest scale");
+            let hier = synthetic_hierarchy(&args);
             o4a_obs::info!(
                 "serve",
                 "synthetic offline phase: raster {0}x{0}, P = {1:?}",

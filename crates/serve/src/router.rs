@@ -99,8 +99,9 @@ const DECOMP_CACHE_CAP: usize = 256;
 /// shards only ever see groups), and decomposition depends only on the
 /// mask, so a repeated region skips Algorithm 1. Entries carry a
 /// last-use stamp from a shared clock; inserts past capacity evict the
-/// stalest entry. Hit/miss counters are surfaced through the serving
-/// layer's STATS verb and the `o4a_decomp_cache_*` metrics.
+/// stalest entry. Its counters and size reach the serving layer's STATS
+/// and METRICS through [`QueryBackend::decomp_cache_stats`] and
+/// [`QueryBackend::decomp_cache_entries`].
 struct DecompCache {
     /// `(entries keyed by mask -> (groups, last-use stamp), clock)`.
     map: Mutex<(HashMap<Mask, DecompEntry>, u64)>,
@@ -113,22 +114,8 @@ struct DecompCache {
 type DecompEntry = (Arc<Vec<DecomposedGroup>>, u64);
 
 impl DecompCache {
-    /// Creates an empty memo holding at most `cap` decompositions, and
-    /// registers its metrics so a scrape before the first query already
-    /// exposes them at zero.
+    /// Creates an empty memo holding at most `cap` decompositions.
     fn with_capacity(cap: usize) -> Self {
-        let _ = o4a_obs::counter!(
-            "o4a_decomp_cache_hits_total",
-            "shard-router decomposition-memo hits"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_decomp_cache_misses_total",
-            "shard-router decomposition-memo misses"
-        );
-        let _ = o4a_obs::gauge!(
-            "o4a_decomp_cache_entries",
-            "decompositions currently memoized by shard routers"
-        );
         DecompCache {
             map: Mutex::new((HashMap::new(), 0)),
             cap: cap.max(1),
@@ -161,20 +148,10 @@ impl DecompCache {
                 let groups = groups.clone();
                 drop(guard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                o4a_obs::counter!(
-                    "o4a_decomp_cache_hits_total",
-                    "shard-router decomposition-memo hits"
-                )
-                .inc();
                 return groups;
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        o4a_obs::counter!(
-            "o4a_decomp_cache_misses_total",
-            "shard-router decomposition-memo misses"
-        )
-        .inc();
         let groups = Arc::new(decompose(hier, mask));
         let mut guard = self.lock();
         let (map, clock) = &mut *guard;
@@ -189,13 +166,6 @@ impl DecompCache {
         }
         *clock += 1;
         map.insert(mask.clone(), (groups.clone(), *clock));
-        let entries = map.len();
-        drop(guard);
-        o4a_obs::gauge!(
-            "o4a_decomp_cache_entries",
-            "decompositions currently memoized by shard routers"
-        )
-        .set(entries as f64);
         groups
     }
 }
@@ -211,10 +181,6 @@ pub struct ShardRouter {
     decomp_cache: DecompCache,
     /// Groups routed to each shard since start.
     loads: Vec<AtomicU64>,
-    /// The same counts mirrored into the metrics registry as
-    /// `o4a_shard_routed_total{shard="i"}`, incremented in lockstep with
-    /// `loads` so METRICS reconciles with STATS `shard_loads`.
-    routed_metrics: Vec<Arc<o4a_obs::Counter>>,
 }
 
 impl ShardRouter {
@@ -238,22 +204,11 @@ impl ShardRouter {
         }
         let ring = ring_points(shards.len());
         let loads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
-        let routed_metrics = (0..shards.len())
-            .map(|s| {
-                o4a_obs::metrics::global().labeled_counter(
-                    "o4a_shard_routed_total",
-                    "decomposed groups routed to each shard by the query router",
-                    "shard",
-                    &s.to_string(),
-                )
-            })
-            .collect();
         ShardRouter {
             shards,
             ring,
             decomp_cache: DecompCache::with_capacity(DECOMP_CACHE_CAP),
             loads,
-            routed_metrics,
         }
     }
 
@@ -312,7 +267,6 @@ impl ShardRouter {
             }
             debug_assert_eq!(vals.len(), slice.len());
             self.loads[s].fetch_add(slice.len() as u64, Ordering::Relaxed);
-            self.routed_metrics[s].add(slice.len() as u64);
             index_total += t.index;
             shard_values.push(vals);
         }
@@ -391,6 +345,10 @@ impl QueryBackend for ShardRouter {
         self.decomp_cache.stats()
     }
 
+    fn decomp_cache_entries(&self) -> u64 {
+        self.decomp_cache.lock().0.len() as u64
+    }
+
     fn plan_revision(&self) -> u64 {
         self.shards[0].plan_revision()
     }
@@ -409,6 +367,10 @@ impl QueryBackend for ShardRouter {
             let (h, m, e) = s.plan_cache_stats();
             (acc.0 + h, acc.1 + m, acc.2 + e)
         })
+    }
+
+    fn plan_cache_entries(&self) -> u64 {
+        self.shards.iter().map(|s| s.plan_cache_entries()).sum()
     }
 
     fn compiled_terms(&self) -> u64 {

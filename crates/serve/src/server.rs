@@ -97,7 +97,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lock-free serving counters (see [`StatsSnapshot`] for field meaning).
+/// Lock-free serving counters (see [`StatsSnapshot`] for field meaning):
+/// the only store of these counts, read by both `STATS` and `METRICS`.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     connections: AtomicU64,
@@ -124,17 +125,9 @@ impl ServerStats {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             decompose_ns: self.decompose_ns.load(Ordering::Relaxed),
             index_ns: self.index_ns.load(Ordering::Relaxed),
-            // the router's decomposition memo, plan revision, shard loads and
-            // plan-cache counters live in the query backend, not here;
-            // `Shared::stats_snapshot` fills these in
-            decomp_cache_hits: 0,
-            decomp_cache_misses: 0,
-            plan_revision: 0,
-            shard_loads: Vec::new(),
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_cache_evictions: 0,
-            compiled_terms: 0,
+            // the caches, plan revision and shard loads live in the query
+            // backend; `Shared::stats_snapshot` fills them in
+            ..StatsSnapshot::default()
         }
     }
 }
@@ -231,22 +224,24 @@ struct Shared {
 }
 
 impl Shared {
-    /// Serving counters merged with the backend's decomposition-memo
-    /// hit/miss counters (a shard router's; zero unsharded), its active
-    /// plan revision (`0` for a
-    /// single-model backend), its per-shard load counters (empty
-    /// unsharded) and its compiled-plan cache counters.
+    /// Serving counters merged with the backend's: its decomposition memo
+    /// (a shard router's; zero unsharded), active plan revision (`0` for
+    /// a single-model backend), per-shard loads (empty unsharded) and
+    /// compiled-plan cache. `STATS` sends this snapshot and `METRICS`
+    /// renders it.
     fn stats_snapshot(&self) -> StatsSnapshot {
         let mut s = self.stats.snapshot();
         let (hits, misses) = self.region.decomp_cache_stats();
         s.decomp_cache_hits = hits;
         s.decomp_cache_misses = misses;
+        s.decomp_cache_entries = self.region.decomp_cache_entries();
         s.plan_revision = self.region.plan_revision();
         s.shard_loads = self.region.shard_loads();
         let (ph, pm, pe) = self.region.plan_cache_stats();
         s.plan_cache_hits = ph;
         s.plan_cache_misses = pm;
         s.plan_cache_evictions = pe;
+        s.plan_cache_entries = self.region.plan_cache_entries();
         s.compiled_terms = self.region.compiled_terms();
         s
     }
@@ -324,13 +319,9 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
             .unwrap_or(0),
         next_request_id: AtomicU64::new(1),
     });
-    // Pre-register the serving metrics so a scrape of an idle server
-    // already exposes every counter at zero (the call sites below would
-    // otherwise register them lazily on first use).
-    let _ = connections_counter();
-    let _ = requests_counter();
-    let _ = busy_counter();
-    let _ = protocol_error_counter();
+    // Pre-register the registry metrics so a scrape of an idle server
+    // already exposes them at zero (the call sites below would otherwise
+    // register them lazily on first use).
     let _ = request_ns_histogram();
     let _ = queue_depth_gauge();
     let _ = backpressure_counter();
@@ -365,36 +356,6 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
         loops: loop_threads,
         executors,
     })
-}
-
-fn connections_counter() -> &'static o4a_obs::Counter {
-    o4a_obs::counter!(
-        "o4a_serve_connections_total",
-        "TCP connections accepted by the query server"
-    )
-}
-
-fn requests_counter() -> &'static o4a_obs::Counter {
-    o4a_obs::counter!(
-        "o4a_serve_requests_total",
-        "well-formed request frames handled by the query server"
-    )
-}
-
-fn busy_counter() -> &'static o4a_obs::Counter {
-    o4a_obs::counter!(
-        "o4a_serve_busy_total",
-        "requests shed with BUSY because the admission queue was full"
-    )
-}
-
-/// Malformed frames / payloads received (mirrors
-/// `ServerStats::protocol_errors` into the metrics registry).
-fn protocol_error_counter() -> &'static o4a_obs::Counter {
-    o4a_obs::counter!(
-        "o4a_serve_protocol_errors_total",
-        "malformed frames or payloads received by the query server"
-    )
 }
 
 /// Parse-to-response latency, the same histogram `span!("serve_request")`
@@ -804,7 +765,6 @@ impl EventLoop<'_> {
                         .stats
                         .connections
                         .fetch_add(1, Ordering::Relaxed);
-                    connections_counter().inc();
                     self.conns
                         .insert(token, Conn::new(stream, self.shared.cfg.max_payload));
                 }
@@ -903,7 +863,6 @@ impl EventLoop<'_> {
             .stats
             .protocol_errors
             .fetch_add(1, Ordering::Relaxed);
-        protocol_error_counter().inc();
         // rate-limited: a garbage-spewing peer must not flood the log
         o4a_obs::warn_limited!("serve", "closing connection on malformed input: {}", e);
         let seq = conn.alloc_slot();
@@ -918,7 +877,6 @@ impl EventLoop<'_> {
         let t_start = Instant::now();
         let seq = conn.alloc_slot();
         self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        requests_counter().inc();
         let req_id = self.shared.next_request_id.fetch_add(1, Ordering::Relaxed);
         let verb = match &req {
             Request::Health => "Health",
@@ -948,7 +906,10 @@ impl EventLoop<'_> {
                 request_ns_histogram().record(t_start.elapsed().as_nanos() as u64);
             }
             Request::Metrics => {
-                let text = o4a_obs::render_prometheus();
+                // the registry's histograms and gauges, then this
+                // server's counters from the snapshot STATS would send
+                let mut text = o4a_obs::render_prometheus();
+                self.shared.stats_snapshot().render_prometheus(&mut text);
                 conn.fill(seq, wire::encode_response(&Response::Metrics(text)));
                 request_ns_histogram().record(t_start.elapsed().as_nanos() as u64);
             }
@@ -1007,7 +968,6 @@ impl EventLoop<'_> {
                 .stats
                 .busy_rejections
                 .fetch_add(1, Ordering::Relaxed);
-            busy_counter().inc();
             // rate-limited: an overload sheds thousands of these a second
             o4a_obs::warn_limited!("serve", "admission queue full, shedding with BUSY";
                 queue_cap = cap, loop_id = self.loop_id);

@@ -24,6 +24,17 @@
 //! yields a [`WireError`] — never a panic — with single-bit corruption
 //! guaranteed detectable by the payload checksum plus strict header
 //! validation.
+//!
+//! `HEALTH_OK` and `STATS_RESULT` each have exactly one payload layout,
+//! and a payload of any other length is an error. There is no
+//! cross-version compatibility: client and server are built from the
+//! same tree, so a decoder that also accepted older, shorter layouts
+//! would only turn a mismatched peer's bytes into silently zeroed
+//! fields. The STATS layout is the [`STATS_ROWS`] table in order, one
+//! `u64` per row, then `u16` shard count and that many `u64` shard
+//! loads. The same table names each row's METRICS family
+//! ([`StatsSnapshot::render_prometheus`]), so STATS and METRICS are two
+//! views of one set of counters.
 
 use o4a_core::codec::fnv1a32;
 use o4a_grid::mask::Mask;
@@ -170,11 +181,6 @@ pub struct TimingNs {
 }
 
 /// Readiness and raster geometry reported by `HEALTH`.
-///
-/// Payload revision 2 appends `uptime_secs` and `started_unix` (16 bytes)
-/// to the original 10-byte payload. The decoder accepts both forms —
-/// revision-1 frames from an old server decode with the two new fields at
-/// `0` — so mixed-version client/server pairs keep interoperating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthInfo {
     /// Whether a prediction snapshot has been published.
@@ -185,14 +191,14 @@ pub struct HealthInfo {
     pub w: u32,
     /// Hierarchy layer count.
     pub layers: u8,
-    /// Seconds the server process has been up (0 from a revision-1 peer).
+    /// Seconds the server process has been up.
     pub uptime_secs: u64,
-    /// Server start time, seconds since the Unix epoch (0 from a
-    /// revision-1 peer).
+    /// Server start time, seconds since the Unix epoch.
     pub started_unix: u64,
 }
 
-/// Serving counters reported by `STATS`.
+/// Serving counters reported by `STATS` and, through the same
+/// [`STATS_ROWS`] table, by `METRICS`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Connections accepted.
@@ -220,26 +226,141 @@ pub struct StatsSnapshot {
     /// Shard-router decomposition memo misses; `0` for an unsharded
     /// backend.
     pub decomp_cache_misses: u64,
+    /// Decompositions the shard router's memo holds now; `0` for an
+    /// unsharded backend.
+    pub decomp_cache_entries: u64,
     /// Revision of the active ensemble plan; `0` for a single-model
-    /// backend. Appended in revision 2 of the STATS payload — a revision-1
-    /// peer's payload ends before it and decodes as `0`.
+    /// backend.
     pub plan_revision: u64,
     /// Decomposed groups routed to each shard since start, in shard
-    /// order; empty for an unsharded backend. Appended in revision 3 of
-    /// the STATS payload (`u16` count + that many `u64`s) — a revision-1
-    /// or revision-2 peer's payload ends before it and decodes as empty.
+    /// order; empty for an unsharded backend.
     pub shard_loads: Vec<u64>,
-    /// Compiled-plan cache hits. Appended (with the three fields below)
-    /// in revision 4 of the STATS payload — an older peer's payload ends
-    /// before it and decodes as `0`.
+    /// Compiled-plan cache hits.
     pub plan_cache_hits: u64,
-    /// Compiled-plan cache misses (each miss compiles a plan). Revision 4.
+    /// Compiled-plan cache misses (each miss compiles a plan).
     pub plan_cache_misses: u64,
     /// Compiled plans evicted from the cache under LRU pressure.
-    /// Revision 4.
     pub plan_cache_evictions: u64,
-    /// Total index terms executed through compiled plans. Revision 4.
+    /// Compiled plans cached now (summed over a router's shards).
+    pub plan_cache_entries: u64,
+    /// Total index terms executed through compiled plans.
     pub compiled_terms: u64,
+}
+
+/// How a [`StatRow`] is exposed in the `METRICS` exposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// Monotonic since the server (or backend) started.
+    Counter,
+    /// A current value.
+    Gauge,
+}
+
+impl StatKind {
+    fn as_str(self) -> &'static str {
+        match self {
+            StatKind::Counter => "counter",
+            StatKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One `u64` field of [`StatsSnapshot`]: the metric it is exported as and
+/// how to read and write it.
+#[derive(Clone, Copy)]
+pub struct StatRow {
+    /// Metric family name in the `METRICS` exposition.
+    pub name: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// `# TYPE` of the family.
+    pub kind: StatKind,
+    /// Reads the field.
+    pub get: fn(&StatsSnapshot) -> u64,
+    set: fn(&mut StatsSnapshot, u64),
+}
+
+macro_rules! stats_rows {
+    ($($field:ident: $kind:ident $name:literal $help:literal;)*) => {
+        /// Every `u64` field of [`StatsSnapshot`], in STATS wire order. The
+        /// per-shard loads are the one field outside the table: they travel
+        /// after it and render as `o4a_shard_routed_total{shard="i"}`.
+        pub const STATS_ROWS: &[StatRow] = &[$(StatRow {
+            name: $name,
+            help: $help,
+            kind: StatKind::$kind,
+            get: |s| s.$field,
+            set: |s, v| s.$field = v,
+        }),*];
+    };
+}
+
+stats_rows! {
+    connections: Counter "o4a_serve_connections_total"
+        "TCP connections accepted by the query server";
+    requests: Counter "o4a_serve_requests_total"
+        "well-formed request frames handled by the query server";
+    masks_served: Counter "o4a_serve_masks_served_total"
+        "masks answered by the query server (a batch of n counts n)";
+    exec_batches: Counter "o4a_serve_exec_batches_total"
+        "query_many executions run by the executors";
+    coalesced_masks: Counter "o4a_serve_coalesced_masks_total"
+        "masks that shared an execution batch with another request";
+    busy_rejections: Counter "o4a_serve_busy_total"
+        "requests shed with BUSY because the admission queue was full";
+    protocol_errors: Counter "o4a_serve_protocol_errors_total"
+        "malformed frames or payloads received by the query server";
+    decompose_ns: Counter "o4a_serve_decompose_ns_total"
+        "decomposition CPU time of executed batches in nanoseconds";
+    index_ns: Counter "o4a_serve_index_ns_total"
+        "lookup and aggregation CPU time of executed batches in nanoseconds";
+    decomp_cache_hits: Counter "o4a_decomp_cache_hits_total"
+        "shard-router decomposition-memo hits";
+    decomp_cache_misses: Counter "o4a_decomp_cache_misses_total"
+        "shard-router decomposition-memo misses";
+    decomp_cache_entries: Gauge "o4a_decomp_cache_entries"
+        "decompositions currently memoized by the shard router";
+    plan_revision: Gauge "o4a_ensemble_plan_revision"
+        "revision of the active ensemble plan (0 for a single model)";
+    plan_cache_hits: Counter "o4a_plan_cache_hits_total"
+        "compiled-plan cache hits";
+    plan_cache_misses: Counter "o4a_plan_cache_misses_total"
+        "compiled-plan cache misses";
+    plan_cache_evictions: Counter "o4a_plan_cache_evictions_total"
+        "compiled plans evicted by the LRU cap";
+    plan_cache_entries: Gauge "o4a_plan_cache_entries"
+        "compiled plans currently cached";
+    compiled_terms: Counter "o4a_compiled_terms_total"
+        "index terms executed through compiled plans";
+}
+
+/// Metric family of [`StatsSnapshot::shard_loads`].
+pub const SHARD_ROUTED_METRIC: &str = "o4a_shard_routed_total";
+
+impl StatsSnapshot {
+    /// Appends the snapshot to a Prometheus text exposition: one
+    /// `HELP`/`TYPE` block per [`STATS_ROWS`] row, then the per-shard
+    /// loads as one labeled family (omitted when unsharded).
+    pub fn render_prometheus(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        for row in STATS_ROWS {
+            let name = row.name;
+            let _ = writeln!(out, "# HELP {name} {}", row.help);
+            let _ = writeln!(out, "# TYPE {name} {}", row.kind.as_str());
+            let _ = writeln!(out, "{name} {}", (row.get)(self));
+        }
+        if !self.shard_loads.is_empty() {
+            let name = SHARD_ROUTED_METRIC;
+            let _ = writeln!(
+                out,
+                "# HELP {name} decomposed groups routed to each shard by the query router"
+            );
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for (shard, load) in self.shard_loads.iter().enumerate() {
+                let _ = writeln!(out, "{name}{{shard=\"{shard}\"}} {load}");
+            }
+        }
+    }
 }
 
 /// A decoded response frame.
@@ -609,46 +730,17 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             p.push(info.layers);
             p.extend_from_slice(&info.h.to_le_bytes());
             p.extend_from_slice(&info.w.to_le_bytes());
-            // payload revision 2: uptime fields appended after the
-            // revision-1 body so old decoders that stop early still work
             put_u64(&mut p, info.uptime_secs);
             put_u64(&mut p, info.started_unix);
             encode_frame(Verb::HealthOk, &p)
         }
         Response::Stats(s) => {
             let mut p = Vec::new();
-            for v in [
-                s.connections,
-                s.requests,
-                s.masks_served,
-                s.exec_batches,
-                s.coalesced_masks,
-                s.busy_rejections,
-                s.protocol_errors,
-                s.decompose_ns,
-                s.index_ns,
-                s.decomp_cache_hits,
-                s.decomp_cache_misses,
-                s.plan_revision,
-            ] {
-                put_u64(&mut p, v);
+            for row in STATS_ROWS {
+                put_u64(&mut p, (row.get)(s));
             }
-            // payload revision 3: per-shard group counts appended after
-            // the revision-2 body so old decoders that stop early still
-            // work
             put_u16(&mut p, s.shard_loads.len() as u16);
             for &v in &s.shard_loads {
-                put_u64(&mut p, v);
-            }
-            // payload revision 4: compiled-plan cache counters appended
-            // after the revision-3 body so old decoders that stop early
-            // still work
-            for v in [
-                s.plan_cache_hits,
-                s.plan_cache_misses,
-                s.plan_cache_evictions,
-                s.compiled_terms,
-            ] {
                 put_u64(&mut p, v);
             }
             encode_frame(Verb::StatsResult, &p)
@@ -703,65 +795,25 @@ pub fn decode_response(verb: Verb, payload: &[u8]) -> Result<Response, WireError
             }
             let h = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
             let w = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
-            // revision 2 appends uptime fields; a revision-1 payload ends
-            // here and decodes them as zero
-            let (uptime_secs, started_unix) = if r.remaining() == 0 {
-                (0, 0)
-            } else {
-                (r.u64()?, r.u64()?)
-            };
             Response::Health(HealthInfo {
                 ready: ready == 1,
                 h,
                 w,
                 layers,
-                uptime_secs,
-                started_unix,
+                uptime_secs: r.u64()?,
+                started_unix: r.u64()?,
             })
         }
         Verb::StatsResult => {
-            let mut s = StatsSnapshot {
-                connections: r.u64()?,
-                requests: r.u64()?,
-                masks_served: r.u64()?,
-                exec_batches: r.u64()?,
-                coalesced_masks: r.u64()?,
-                busy_rejections: r.u64()?,
-                protocol_errors: r.u64()?,
-                decompose_ns: r.u64()?,
-                index_ns: r.u64()?,
-                decomp_cache_hits: r.u64()?,
-                decomp_cache_misses: r.u64()?,
-                // revision 2 appends the plan revision; a revision-1
-                // payload ends here and decodes it as zero
-                plan_revision: 0,
-                shard_loads: Vec::new(),
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                compiled_terms: 0,
-            };
-            if r.remaining() > 0 {
-                s.plan_revision = r.u64()?;
+            let mut s = StatsSnapshot::default();
+            for row in STATS_ROWS {
+                (row.set)(&mut s, r.u64()?);
             }
-            // revision 3 appends the per-shard group counts; a revision-2
-            // payload ends here and decodes them as empty
-            if r.remaining() > 0 {
-                let count = r.u16()? as usize;
-                if count > MAX_SHARDS {
-                    return Err(WireError::Corrupt("shard count exceeds cap"));
-                }
-                s.shard_loads = (0..count).map(|_| r.u64()).collect::<Result<_, _>>()?;
+            let count = r.u16()? as usize;
+            if count > MAX_SHARDS {
+                return Err(WireError::Corrupt("shard count exceeds cap"));
             }
-            // revision 4 appends the compiled-plan cache counters; a
-            // revision-3 payload ends here and decodes them as zero. A
-            // payload cut mid-way through the four fields is an error.
-            if r.remaining() > 0 {
-                s.plan_cache_hits = r.u64()?;
-                s.plan_cache_misses = r.u64()?;
-                s.plan_cache_evictions = r.u64()?;
-                s.compiled_terms = r.u64()?;
-            }
+            s.shard_loads = (0..count).map(|_| r.u64()).collect::<Result<_, _>>()?;
             Response::Stats(s)
         }
         Verb::MetricsResult => {
@@ -958,11 +1010,13 @@ mod tests {
                 index_ns: 2,
                 decomp_cache_hits: 3950,
                 decomp_cache_misses: 50,
+                decomp_cache_entries: 48,
                 plan_revision: 4,
                 shard_loads: vec![1000, 2000, 900],
                 plan_cache_hits: 3800,
                 plan_cache_misses: 200,
                 plan_cache_evictions: 12,
+                plan_cache_entries: 188,
                 compiled_terms: 91_000,
             }),
             Response::Busy,
@@ -973,178 +1027,49 @@ mod tests {
         }
     }
 
+    /// Every strict prefix and every one-byte extension of an encoded
+    /// HEALTH or STATS payload (0 and 3 shard loads) decodes to an error:
+    /// one layout, no partial snapshot.
     #[test]
-    fn legacy_health_payload_still_decodes() {
-        // A revision-1 HEALTH_OK frame (10-byte payload, no uptime
-        // fields), exactly as an old server would emit it.
-        let mut p = Vec::new();
-        p.push(1u8); // ready
-        p.push(5u8); // layers
-        p.extend_from_slice(&64u32.to_le_bytes());
-        p.extend_from_slice(&32u32.to_le_bytes());
-        let frame = encode_frame(Verb::HealthOk, &p);
-        let resp = parse_response_bytes(&frame).unwrap();
-        assert_eq!(
-            resp,
-            Response::Health(HealthInfo {
-                ready: true,
-                h: 64,
-                w: 32,
-                layers: 5,
-                uptime_secs: 0,
-                started_unix: 0,
-            })
-        );
-    }
-
-    #[test]
-    fn truncated_health_uptime_rejected() {
-        // Revision-2 body cut mid-uptime: neither a valid revision-1 nor
-        // revision-2 payload — must be an error, not a silent partial read.
-        let info = HealthInfo {
+    fn health_and_stats_accept_exactly_one_payload_length() {
+        let stats = |loads: Vec<u64>| {
+            let mut s = StatsSnapshot {
+                shard_loads: loads,
+                ..StatsSnapshot::default()
+            };
+            for (i, row) in STATS_ROWS.iter().enumerate() {
+                (row.set)(&mut s, 1000 + i as u64);
+            }
+            Response::Stats(s)
+        };
+        let health = Response::Health(HealthInfo {
             ready: true,
             h: 8,
             w: 8,
             layers: 3,
             uptime_secs: 42,
             started_unix: 9,
-        };
-        let frame = encode_response(&Response::Health(info));
-        let payload = &frame[HEADER_LEN..HEADER_LEN + 14];
-        let reframed = encode_frame(Verb::HealthOk, payload);
-        assert!(parse_response_bytes(&reframed).is_err());
-    }
-
-    #[test]
-    fn legacy_stats_payload_still_decodes() {
-        // A revision-1 STATS_RESULT frame (11 u64 fields, no plan
-        // revision), exactly as an old server would emit it.
-        let mut p = Vec::new();
-        for v in 1u64..=11 {
-            put_u64(&mut p, v);
-        }
-        let frame = encode_frame(Verb::StatsResult, &p);
-        let resp = parse_response_bytes(&frame).unwrap();
-        assert_eq!(
-            resp,
-            Response::Stats(StatsSnapshot {
-                connections: 1,
-                requests: 2,
-                masks_served: 3,
-                exec_batches: 4,
-                coalesced_masks: 5,
-                busy_rejections: 6,
-                protocol_errors: 7,
-                decompose_ns: 8,
-                index_ns: 9,
-                decomp_cache_hits: 10,
-                decomp_cache_misses: 11,
-                plan_revision: 0,
-                shard_loads: Vec::new(),
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                compiled_terms: 0,
-            })
-        );
-    }
-
-    #[test]
-    fn truncated_stats_revision_rejected() {
-        // Revision-2 body cut mid-plan-revision: neither a valid
-        // revision-1 nor revision-2 payload — must be an error.
-        let mut p = Vec::new();
-        for v in 1u64..=11 {
-            put_u64(&mut p, v);
-        }
-        put_u64(&mut p, 9); // plan revision
-        p.truncate(p.len() - 3); // cut mid-field
-        let reframed = encode_frame(Verb::StatsResult, &p);
-        assert!(parse_response_bytes(&reframed).is_err());
-    }
-
-    #[test]
-    fn revision2_stats_payload_still_decodes() {
-        // A revision-2 STATS_RESULT frame (12 u64 fields, no shard
-        // loads), exactly as a pre-sharding server would emit it.
-        let mut p = Vec::new();
-        for v in 1u64..=12 {
-            put_u64(&mut p, v);
-        }
-        let frame = encode_frame(Verb::StatsResult, &p);
-        let Response::Stats(s) = parse_response_bytes(&frame).unwrap() else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.plan_revision, 12);
-        assert!(s.shard_loads.is_empty());
-    }
-
-    /// A revision-3 STATS_RESULT payload exactly as a pre-plan-cache
-    /// server would emit it: 12 `u64` fields, then a `u16` shard count
-    /// and that many `u64` loads.
-    fn revision3_payload(loads: &[u64]) -> Vec<u8> {
-        let mut p = Vec::new();
-        for v in 1u64..=12 {
-            put_u64(&mut p, v);
-        }
-        put_u16(&mut p, loads.len() as u16);
-        for &v in loads {
-            put_u64(&mut p, v);
-        }
-        p
-    }
-
-    #[test]
-    fn truncated_stats_shard_loads_rejected() {
-        // Revision-3 body cut mid-shard-entry (and cut mid-count): not a
-        // valid payload at any revision — must be an error.
-        let p = revision3_payload(&[5, 6]);
-        for cut in [3, 9, 17] {
-            let reframed = encode_frame(Verb::StatsResult, &p[..p.len() - cut]);
-            assert!(
-                parse_response_bytes(&reframed).is_err(),
-                "cut of {cut} bytes must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn revision3_stats_payload_still_decodes() {
-        // A revision-3 frame ends after the shard loads; the revision-4
-        // plan-cache counters must decode as zero.
-        let frame = encode_frame(Verb::StatsResult, &revision3_payload(&[7, 8]));
-        let Response::Stats(s) = parse_response_bytes(&frame).unwrap() else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.plan_revision, 12);
-        assert_eq!(s.shard_loads, vec![7, 8]);
-        assert_eq!(s.plan_cache_hits, 0);
-        assert_eq!(s.plan_cache_misses, 0);
-        assert_eq!(s.plan_cache_evictions, 0);
-        assert_eq!(s.compiled_terms, 0);
-    }
-
-    #[test]
-    fn truncated_stats_plan_cache_rejected() {
-        // Revision-4 body cut anywhere inside the four plan-cache
-        // counters: not a valid payload at any revision — must be an
-        // error, not a silent partial read.
-        let s = StatsSnapshot {
-            shard_loads: vec![5, 6],
-            plan_cache_hits: 100,
-            plan_cache_misses: 4,
-            plan_cache_evictions: 1,
-            compiled_terms: 2_000,
-            ..StatsSnapshot::default()
-        };
-        let frame = encode_response(&Response::Stats(s));
-        for cut in [1, 8, 15, 24, 31] {
-            let payload = &frame[HEADER_LEN..frame.len() - cut];
-            let reframed = encode_frame(Verb::StatsResult, payload);
-            assert!(
-                parse_response_bytes(&reframed).is_err(),
-                "cut of {cut} bytes must not decode"
-            );
+        });
+        for resp in [stats(Vec::new()), stats(vec![5, 6, 7]), health] {
+            let frame = encode_response(&resp);
+            assert_eq!(parse_response_bytes(&frame).unwrap(), resp);
+            let verb = Verb::from_u8(frame[8]).unwrap();
+            let payload = &frame[HEADER_LEN..];
+            for cut in 0..payload.len() {
+                let reframed = encode_frame(verb, &payload[..cut]);
+                assert!(
+                    parse_response_bytes(&reframed).is_err(),
+                    "{verb:?} prefix of {cut} bytes must not decode"
+                );
+            }
+            for extra in [0u8, 1, 0xFF] {
+                let mut longer = payload.to_vec();
+                longer.push(extra);
+                assert!(
+                    parse_response_bytes(&encode_frame(verb, &longer)).is_err(),
+                    "{verb:?} payload plus one byte must not decode"
+                );
+            }
         }
     }
 

@@ -1,5 +1,7 @@
-//! A bad invocation of either binary — `--help` or an unknown flag —
-//! prints usage to stderr and exits with status 2, never a panic.
+//! A bad invocation of either binary — `--help`, an unknown flag, a
+//! missing or unparsable value, a raster the hierarchy cannot tile, an
+//! address that does not parse — prints usage to stderr and exits with
+//! status 2, never a panic.
 
 use std::process::Command;
 
@@ -18,6 +20,9 @@ fn serve_help_and_bad_flags_exit_2_with_usage() {
     assert_usage_exit(bin, &["--no-such-flag"]);
     assert_usage_exit(bin, &["--side", "not-a-number"]);
     assert_usage_exit(bin, &["--side"]);
+    assert_usage_exit(bin, &["--side", "16", "--layers", "9"]);
+    assert_usage_exit(bin, &["--side", "0"]);
+    assert_usage_exit(bin, &["--ensemble", "2", "--side", "12", "--layers", "4"]);
 }
 
 #[test]
@@ -27,4 +32,10 @@ fn loadgen_help_and_bad_flags_exit_2_with_usage() {
     assert_usage_exit(bin, &["--no-such-flag"]);
     assert_usage_exit(bin, &["--threads", "-1"]);
     assert_usage_exit(bin, &["--out"]);
+    assert_usage_exit(bin, &["--addr", "nonsense"]);
+    assert_usage_exit(bin, &[]);
+    let addr_file = std::env::temp_dir().join(format!("o4a-cli-usage-{}.addr", std::process::id()));
+    std::fs::write(&addr_file, "nonsense").unwrap();
+    assert_usage_exit(bin, &["--addr-file", addr_file.to_str().unwrap()]);
+    std::fs::remove_file(&addr_file).unwrap();
 }

@@ -1,128 +1,21 @@
 //! End-to-end observability test: a real server on an ephemeral port,
 //! scraped through the `METRICS` verb, with the exposition validated
 //! structurally and the query-stage histogram sums reconciled exactly
-//! against the end-to-end `QueryTiming` totals from `STATS`; then a
-//! sharded server whose router decomposition-memo counters reconcile the
-//! same way.
+//! against the end-to-end `QueryTiming` totals from `STATS`.
 //!
-//! This file contains exactly ONE `#[test]`: the metrics registry is
+//! This file contains exactly ONE `#[test]`: the stage histograms are
 //! process-global, and a concurrent test issuing queries would break the
-//! exact span-sum reconciliation.
+//! exact sum reconciliation.
 
-use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
-use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{PredictionStore, RegionServer};
-use o4a_data::synthetic::DatasetKind;
-use o4a_grid::queries::{task_queries, TaskSpec};
-use o4a_grid::{Hierarchy, Mask};
-use o4a_serve::{serve, Client, ClientConfig, ServeConfig, ShardRouter};
+mod common;
+
+use common::{query_masks, region_fixture, validate_exposition};
+use o4a_serve::{serve, Client, ClientConfig, ServeConfig};
 use o4a_tensor::{conv2d, Tensor};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-const SIDE: usize = 16;
-
-fn region_fixture() -> Arc<RegionServer> {
-    let hier = Hierarchy::new(SIDE, SIDE, 2, 4).unwrap();
-    let flow = DatasetKind::TaxiNycLike
-        .config(SIDE, SIDE, 32, 9)
-        .generate();
-    let slots: Vec<usize> = (24..32).collect();
-    let truths = truth_pyramid(&hier, &flow, &slots);
-    let index =
-        search_optimal_combinations(&hier, &truths, &truths, SearchStrategy::UnionSubtraction);
-    let store = Arc::new(PredictionStore::for_hierarchy(&hier));
-    store
-        .publish_checked(truths.iter().map(|layer| layer[0].clone()).collect())
-        .unwrap();
-    Arc::new(RegionServer::new(index, store))
-}
-
-fn query_masks() -> Vec<Mask> {
-    let mut rng = o4a_tensor::SeededRng::new(31);
-    let mut masks = Vec::new();
-    for spec in TaskSpec::standard_tasks(150.0) {
-        masks.extend(task_queries(SIDE, SIDE, spec, false, &mut rng));
-    }
-    masks.truncate(48);
-    masks
-}
-
-/// Minimal Prometheus text-exposition parser/validator. Returns
-/// `name -> value` for every sample line; panics on any structural
-/// violation (sample without HELP/TYPE, non-numeric value, histogram
-/// whose cumulative buckets decrease or whose `+Inf` bucket disagrees
-/// with `_count`).
-fn validate_exposition(text: &str) -> HashMap<String, f64> {
-    let mut typed: HashMap<String, String> = HashMap::new();
-    let mut helped: HashMap<String, ()> = HashMap::new();
-    let mut samples: HashMap<String, f64> = HashMap::new();
-    let mut last_bucket: HashMap<String, f64> = HashMap::new();
-
-    for line in text.lines() {
-        assert!(!line.is_empty(), "blank line in exposition");
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split_whitespace().next().expect("HELP name");
-            helped.insert(name.to_string(), ());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().expect("TYPE name").to_string();
-            let kind = it.next().expect("TYPE kind").to_string();
-            assert!(
-                matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
-                "unknown TYPE {kind} for {name}"
-            );
-            assert!(helped.contains_key(&name), "TYPE before HELP for {name}");
-            typed.insert(name, kind);
-            continue;
-        }
-        // sample line: `name value` or `name_bucket{le="..."} value`
-        let (key, value) = line.split_once(' ').expect("sample line has a value");
-        let value: f64 = value.parse().unwrap_or_else(|_| {
-            panic!("non-numeric sample value in line {line:?}");
-        });
-        let bare = key.split('{').next().unwrap().to_string();
-        let family = bare
-            .strip_suffix("_bucket")
-            .or_else(|| bare.strip_suffix("_sum"))
-            .or_else(|| bare.strip_suffix("_count"))
-            .filter(|f| typed.get(*f).map(String::as_str) == Some("histogram"))
-            .unwrap_or(&bare)
-            .to_string();
-        assert!(
-            typed.contains_key(&family),
-            "sample {key} has no TYPE header"
-        );
-        if bare.ends_with("_bucket") && typed.get(&family).map(String::as_str) == Some("histogram")
-        {
-            let prev = last_bucket.entry(family.clone()).or_insert(0.0);
-            assert!(
-                value >= *prev,
-                "histogram {family} buckets are not cumulative"
-            );
-            *prev = value;
-            if key.contains("le=\"+Inf\"") {
-                samples.insert(format!("{family}_inf"), value);
-            }
-            continue;
-        }
-        samples.insert(key.to_string(), value);
-    }
-    // every histogram's +Inf bucket must equal its _count
-    for (name, kind) in &typed {
-        if kind == "histogram" {
-            let inf = samples[&format!("{name}_inf")];
-            let count = samples[&format!("{name}_count")];
-            assert_eq!(inf, count, "histogram {name} +Inf bucket != count");
-        }
-    }
-    samples
-}
-
 #[test]
-fn metrics_scrape_is_complete_and_reconciles_with_stats() {
+fn metrics_scrape_is_complete_and_stage_sums_match_stats() {
     // Metrics must populate even with logging effectively off.
     o4a_obs::set_max_level(o4a_obs::Level::Error);
 
@@ -137,9 +30,9 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
     .unwrap();
     let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
 
-    // Exercise every path that feeds the registry: health, batch + single
-    // queries (stage histograms, plan cache), and a tiny gemm + conv in
-    // this process (kernel histograms).
+    // Exercise every path that feeds the exposition: health, batch +
+    // single queries (stage histograms, plan cache), and a tiny gemm +
+    // conv in this process (kernel histograms).
     let health = client.health().unwrap();
     assert!(health.ready);
     assert!(health.started_unix > 0, "server must report its start time");
@@ -187,8 +80,6 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
     // 1 batch of 48 + 8 singles = 56 stage samples, one per mask.
     let stage_samples = samples["o4a_query_decompose_ns_count"] as u64;
     assert_eq!(stage_samples, masks.len() as u64 + 8);
-    // health + batch + 8 singles + the METRICS request itself = 11+
-    assert!(samples["o4a_serve_requests_total"] as u64 >= 11);
     assert!(samples["o4a_kernel_gemm_ns_count"] as u64 >= 1);
     assert!(samples["o4a_kernel_conv2d_ns_count"] as u64 >= 1);
 
@@ -208,70 +99,5 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
         lookup_sum + aggregate_sum,
         "lookup+aggregate stage sums diverged from STATS index total"
     );
-    // Cache counters travel both roads too: STATS (per-server atomics)
-    // and the registry (global counters). One region server exists here,
-    // so they must agree. Its one per-mask cache is the plan cache: every
-    // served mask is one hit or one miss, and there is no decomposition
-    // memo to report.
-    assert_eq!(
-        stats.plan_cache_hits,
-        samples["o4a_plan_cache_hits_total"] as u64
-    );
-    assert_eq!(
-        stats.plan_cache_misses,
-        samples["o4a_plan_cache_misses_total"] as u64
-    );
-    assert_eq!(
-        stats.plan_cache_hits + stats.plan_cache_misses,
-        stats.masks_served
-    );
-    assert_eq!((stats.decomp_cache_hits, stats.decomp_cache_misses), (0, 0));
-    handle.shutdown();
-
-    // A sharded server over two replicas of the same index: its router
-    // decomposes every mask through its memo, the only decomposition
-    // memo in this process, so STATS and the registry agree on it.
-    let shard = || {
-        Arc::new(RegionServer::new(
-            region.source().clone(),
-            Arc::clone(&region.stores()[0]),
-        )) as Arc<dyn o4a_core::server::QueryBackend>
-    };
-    let router = Arc::new(ShardRouter::new(vec![shard(), shard()]));
-    let handle = serve(
-        router,
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
-    let (sharded, _) = client.query_batch(&masks).unwrap();
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&sharded),
-        bits(&values),
-        "sharded answers must be bit-identical"
-    );
-    for mask in &masks[..8] {
-        client.query(mask).unwrap();
-    }
-    let samples = validate_exposition(&client.metrics().unwrap());
-    let stats = client.stats().unwrap();
-    assert!(samples.contains_key("o4a_decomp_cache_entries"));
-    assert_eq!(
-        stats.decomp_cache_hits,
-        samples["o4a_decomp_cache_hits_total"] as u64
-    );
-    assert_eq!(
-        stats.decomp_cache_misses,
-        samples["o4a_decomp_cache_misses_total"] as u64
-    );
-    assert_eq!(
-        stats.decomp_cache_hits + stats.decomp_cache_misses,
-        stats.masks_served
-    );
-    assert!(stats.decomp_cache_hits >= 8, "repeated masks hit the memo");
     handle.shutdown();
 }

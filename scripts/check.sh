@@ -235,8 +235,8 @@ awk '
 ' "$SMOKE_DIR/BENCH_sserve.json"
 # Plan-cache gate: with a 64-mask hot working set the sharded backends'
 # compiled-plan caches must be serving hits by the end of the run (a 0.0
-# hit rate would mean the compiled path silently fell back or the
-# revision-4 STATS fields went missing).
+# hit rate would mean the compiled path silently fell back or the STATS
+# plan-cache rows went missing).
 awk '
     /"plan_cache"/ {
         match($0, /"hit_rate": [0-9.]+/)
@@ -275,18 +275,24 @@ for shard in 0 1; do
 done
 # The shard router keeps the one decomposition memo left in the system
 # (an unsharded backend decomposes only on a plan-cache miss), so its
-# counters are exported by the sharded server.
+# counters are exported by the sharded server; the plan-cache size is
+# the sum over both shards.
 for metric in o4a_decomp_cache_hits_total o4a_decomp_cache_misses_total \
-    o4a_decomp_cache_entries; do
+    o4a_decomp_cache_entries o4a_plan_cache_entries; do
     grep -q "^$metric" "$SMOKE_DIR/smetrics.prom" \
         || { echo "smetrics.prom is missing $metric"; exit 1; }
 done
 
 # METRICS smoke: the scrape from the live server must be a well-formed
-# exposition containing the serving counters and query-stage histograms.
+# exposition containing the serving counters (every STATS row) and
+# query-stage histograms.
 echo "==> METRICS exposition smoke"
 for metric in o4a_serve_requests_total o4a_serve_busy_total \
-    o4a_serve_protocol_errors_total o4a_query_decompose_ns_bucket \
+    o4a_serve_protocol_errors_total o4a_serve_connections_total \
+    o4a_serve_masks_served_total o4a_serve_exec_batches_total \
+    o4a_serve_coalesced_masks_total o4a_serve_decompose_ns_total \
+    o4a_serve_index_ns_total o4a_compiled_terms_total \
+    o4a_query_decompose_ns_bucket \
     o4a_query_lookup_ns_count o4a_query_aggregate_ns_sum \
     o4a_plan_cache_hits_total o4a_plan_cache_misses_total o4a_plan_cache_evictions_total \
     o4a_plan_cache_entries o4a_compiled_terms_bucket \
@@ -342,7 +348,7 @@ awk '
 
 # Ensemble serve smoke: cold-start a 2-member ensemble from its O4AENS01
 # artifact, drive it with the load generator, and require the ensemble
-# plan gauges and stage histograms in the scrape.
+# plan gauges and the engine's stage histograms in the scrape.
 echo "==> ensemble serve smoke (serve --ensemble 2 + loadgen, ~2s)"
 ./target/release/serve --ensemble 2 --addr 127.0.0.1:0 \
     --addr-file "$SMOKE_DIR/eaddr" --side 16 \
@@ -357,8 +363,8 @@ test -f "$SMOKE_DIR/ens-artifacts/plan.o4aens" \
     || { echo "ensemble serve did not persist plan.o4aens"; exit 1; }
 for metric in o4a_ensemble_members o4a_ensemble_plan_cost \
     o4a_ensemble_plan_revision o4a_ensemble_plan_cells_stripe0 \
-    o4a_ensemble_decompose_ns_bucket o4a_ensemble_lookup_ns_count \
-    o4a_ensemble_aggregate_ns_sum o4a_ensemble_model_terms_stripe1; do
+    o4a_query_decompose_ns_bucket o4a_query_lookup_ns_count \
+    o4a_query_aggregate_ns_sum o4a_ensemble_model_terms_stripe1; do
     grep -q "^$metric" "$SMOKE_DIR/emetrics.prom" \
         || { echo "emetrics.prom is missing $metric"; exit 1; }
 done
