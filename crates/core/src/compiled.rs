@@ -198,37 +198,15 @@ impl CompiledPlan {
         }
     }
 
-    /// Evaluates the plan to one value per decomposed group (the sharded
-    /// scatter leg). `None` when the snapshots don't match the plan's
-    /// layout — fall back to the interpreted path.
+    /// Evaluates the plan to one value per decomposed group (the shard
+    /// leg, where a router folds them with the other shards' values).
+    /// `None` when the snapshots don't match the plan's layout.
     pub fn execute_groups(&self, snaps: &[&FrameSet], scratch: &mut Vec<f32>) -> Option<Vec<f32>> {
         if !self.gather(snaps, scratch) {
             return None;
         }
         let mut out = Vec::with_capacity(self.groups.len());
         self.reduce_each(scratch, |v| out.push(v));
-        Some(out)
-    }
-
-    /// Evaluates a single-group plan to its group value — exactly the
-    /// interpreted `evaluate_group` fold, with no outer `0.0 +` (the
-    /// shard scatter leg caches and executes one plan per group, since a
-    /// shard slice is a batch-dependent concatenation whose whole-slice
-    /// key would never repeat). `None` on layout mismatch.
-    ///
-    /// # Panics
-    /// Panics if the plan holds more than one group.
-    pub fn execute_one(&self, snaps: &[&FrameSet], scratch: &mut Vec<f32>) -> Option<f32> {
-        assert_eq!(
-            self.groups.len(),
-            1,
-            "execute_one requires a single-group plan"
-        );
-        if !self.gather(snaps, scratch) {
-            return None;
-        }
-        let mut out = 0.0f32;
-        self.reduce_each(scratch, |v| out = v);
         Some(out)
     }
 
@@ -465,61 +443,109 @@ impl KeyRef<'_> {
     }
 }
 
-struct PlanEntry {
-    key: PlanKey,
-    epoch: u64,
-    stamp: u64,
-    plan: Arc<CompiledPlan>,
-}
+/// Compiled plans a [`PlanCache`] retains, and masks a shard router's
+/// routing cache retains. Unsharded backends cache one plan per hot mask;
+/// a shard caches one plan per (mask, shard) slice, which repeats exactly
+/// when its mask does, so a shard's population is at most the mask
+/// working set. 4096 covers the paper's 2,203-mask Task 1-4 pool with
+/// headroom, while bounding memory for adversarial mask streams.
+pub const PLAN_CACHE_CAP: usize = 4096;
 
-/// Default compiled plans retained. The unsharded entry points cache one
-/// plan per hot *mask*, but the shard scatter leg caches one plan per
-/// decomposed *group*, and a mask working set fans out to roughly an
-/// order of magnitude more distinct groups (the serve fixture's 138-mask
-/// pool yields ~1.4k). Single-group plans are a few hundred bytes, so the
-/// headroom costs ~1-2 MB while an undersized LRU over a scanning working
-/// set evicts on every miss.
-const PLAN_CACHE_CAP: usize = 4096;
-
-/// A snapshot-versioned LRU of compiled plans, bucketed by key hash with
-/// full key equality inside a bucket (a lookup hit allocates nothing).
+/// A least-recently-used map bounded at a fixed capacity, bucketed by a
+/// caller-supplied key hash with the caller's key test inside a bucket,
+/// so a lookup may go through a borrowed form of the key and a hit
+/// allocates nothing. Eviction does not scan: a stamp-ordered index
+/// (`last-use stamp -> key hash`) finds the oldest entry in
+/// O(log entries). Not synchronized; owners keep it behind a lock.
 ///
-/// Every entry carries the `epoch` it was compiled under (the ensemble
-/// plan revision; `0` for a single-model server). A lookup with a
-/// different epoch drops the entry and reports a miss — `publish_checked`
-/// index swaps can never serve a stale plan. Capacity comes from
-/// `O4A_PLAN_CACHE` (default 4096); inserts past capacity evict the
-/// least-recently-used entry, found through a stamp-ordered index rather
-/// than a scan, so a miss costs O(log entries) however full the cache is.
-pub struct PlanCache {
-    lru: Mutex<Lru>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// The cache state behind the lock.
-#[derive(Default)]
-struct Lru {
+/// `insert` does not look for an existing entry: a key inserted twice
+/// (two threads that missed on it at once) is held twice until one copy
+/// ages out, and lookups see the first. Either copy is a valid value, and
+/// every insert stays one resident entry, so `len` = inserts - evictions.
+pub struct StampLru<K, V> {
     /// Key hash -> the entries sharing it.
-    map: HashMap<u64, Vec<PlanEntry>>,
+    map: HashMap<u64, Vec<LruEntry<K, V>>>,
     /// Last-use stamp -> key hash of its entry, oldest first: one element
     /// per entry, so its length is the entry count.
     order: BTreeMap<u64, u64>,
     /// The last stamp handed out.
     clock: u64,
+    cap: usize,
 }
 
-impl Lru {
+struct LruEntry<K, V> {
+    key: K,
+    stamp: u64,
+    value: V,
+}
+
+impl<K, V> StampLru<K, V> {
+    /// An empty map holding at most `cap` entries (at least one).
+    pub fn with_capacity(cap: usize) -> Self {
+        StampLru {
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            clock: 0,
+            cap: cap.max(1),
+        }
+    }
+
+    /// Entries held now.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The value of the entry in bucket `hash` whose key passes `is_key`,
+    /// marked most recently used.
+    pub fn get(&mut self, hash: u64, is_key: impl Fn(&K) -> bool) -> Option<&mut V> {
+        let entry = self
+            .map
+            .get_mut(&hash)?
+            .iter_mut()
+            .find(|e| is_key(&e.key))?;
+        self.clock += 1;
+        let old = std::mem::replace(&mut entry.stamp, self.clock);
+        self.order.remove(&old);
+        self.order.insert(self.clock, hash);
+        Some(&mut entry.value)
+    }
+
+    /// Removes the entry in bucket `hash` whose key passes `is_key`.
+    pub fn remove(&mut self, hash: u64, is_key: impl Fn(&K) -> bool) -> Option<V> {
+        let bucket = self.map.get_mut(&hash)?;
+        let i = bucket.iter().position(|e| is_key(&e.key))?;
+        Some(self.remove_at(hash, i))
+    }
+
+    /// Inserts `key -> value` into bucket `hash` as the most recently used
+    /// entry, first evicting the least-recently-used one when full.
+    /// Returns whether an entry was evicted.
+    pub fn insert(&mut self, hash: u64, key: K, value: V) -> bool {
+        let evicted = self.order.len() >= self.cap && self.evict_oldest();
+        self.clock += 1;
+        let stamp = self.clock;
+        self.map
+            .entry(hash)
+            .or_default()
+            .push(LruEntry { key, stamp, value });
+        self.order.insert(stamp, hash);
+        evicted
+    }
+
     /// Removes entry `i` of bucket `hash`.
-    fn remove(&mut self, hash: u64, i: usize) {
+    fn remove_at(&mut self, hash: u64, i: usize) -> V {
         let bucket = self.map.get_mut(&hash).expect("indexed bucket exists");
         let entry = bucket.remove(i);
         if bucket.is_empty() {
             self.map.remove(&hash);
         }
         self.order.remove(&entry.stamp);
+        entry.value
     }
 
     /// Evicts the least-recently-used entry; false when empty.
@@ -531,9 +557,24 @@ impl Lru {
             .iter()
             .position(|e| e.stamp == stamp)
             .expect("indexed entry exists");
-        self.remove(hash, i);
+        self.remove_at(hash, i);
         true
     }
+}
+
+/// A snapshot-versioned LRU of compiled plans: a [`StampLru`] bounded at
+/// [`PLAN_CACHE_CAP`], keyed by mask or group list.
+///
+/// Every entry carries the `epoch` it was compiled under (the ensemble
+/// plan revision; `0` for a single-model server). A lookup with a
+/// different epoch drops the entry and reports a miss — `publish_checked`
+/// index swaps can never serve a stale plan.
+pub struct PlanCache {
+    /// Key -> (epoch, plan).
+    lru: Mutex<StampLru<PlanKey, (u64, Arc<CompiledPlan>)>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl Default for PlanCache {
@@ -543,21 +584,15 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Creates a cache with capacity from `O4A_PLAN_CACHE` (default 4096).
+    /// Creates a cache holding at most [`PLAN_CACHE_CAP`] plans.
     pub fn new() -> Self {
-        let cap = std::env::var("O4A_PLAN_CACHE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(PLAN_CACHE_CAP);
-        Self::with_capacity(cap)
+        Self::with_capacity(PLAN_CACHE_CAP)
     }
 
     /// Creates a cache holding at most `cap` plans.
     pub fn with_capacity(cap: usize) -> Self {
         PlanCache {
-            lru: Mutex::new(Lru::default()),
-            cap: cap.max(1),
+            lru: Mutex::new(StampLru::with_capacity(cap)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -575,7 +610,7 @@ impl PlanCache {
 
     /// Plans currently cached.
     pub fn len(&self) -> usize {
-        self.lru.lock().order.len()
+        self.lru.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -614,43 +649,32 @@ impl PlanCache {
     ) -> Arc<CompiledPlan> {
         let hash = key.hash64();
         {
-            let mut guard = self.lru.lock();
-            let lru = &mut *guard;
-            let found = lru.map.get_mut(&hash).and_then(|bucket| {
-                Some((bucket.iter().position(|e| key.matches(&e.key))?, bucket))
-            });
-            if let Some((i, bucket)) = found {
-                let entry = &mut bucket[i];
-                if entry.epoch == epoch {
-                    lru.clock += 1;
-                    let old = std::mem::replace(&mut entry.stamp, lru.clock);
-                    let plan = entry.plan.clone();
-                    lru.order.remove(&old);
-                    lru.order.insert(lru.clock, hash);
-                    drop(guard);
+            let mut lru = self.lru.lock();
+            let found = lru
+                .get(hash, |k| key.matches(k))
+                .map(|(e, plan)| (*e == epoch).then(|| plan.clone()));
+            match found {
+                Some(Some(plan)) => {
+                    drop(lru);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return plan;
                 }
                 // stale epoch: the index was swapped; never serve it
-                lru.remove(hash, i);
+                Some(None) => {
+                    lru.remove(hash, |k| key.matches(k));
+                }
+                None => {}
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(compile());
-        let mut guard = self.lru.lock();
-        let lru = &mut *guard;
-        if lru.order.len() >= self.cap && lru.evict_oldest() {
+        let evicted = self
+            .lru
+            .lock()
+            .insert(hash, key.to_owned(), (epoch, plan.clone()));
+        if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        lru.clock += 1;
-        let entry = PlanEntry {
-            key: key.to_owned(),
-            epoch,
-            stamp: lru.clock,
-            plan: plan.clone(),
-        };
-        lru.map.entry(hash).or_default().push(entry);
-        lru.order.insert(lru.clock, hash);
         plan
     }
 }

@@ -578,8 +578,8 @@ impl<S: PlanSource> QueryEngine<S> {
     /// Counts one execution's terms: the engine total, the
     /// compiled-terms histogram and, when the source exports them, the
     /// per-member histograms.
-    fn note_terms<'p>(&self, plans: impl Iterator<Item = &'p CompiledPlan> + Clone) {
-        let terms: u64 = plans.clone().map(|p| p.num_terms() as u64).sum();
+    fn note_terms(&self, plan: &CompiledPlan) {
+        let terms = plan.num_terms() as u64;
         self.compiled_terms.fetch_add(terms, Ordering::Relaxed);
         o4a_obs::histogram!(
             "o4a_compiled_terms",
@@ -587,8 +587,7 @@ impl<S: PlanSource> QueryEngine<S> {
         )
         .record(terms);
         for (m, hist) in self.metrics.member_terms.iter().enumerate() {
-            let member = |p: &CompiledPlan| p.member_terms().get(m).map_or(0, |&t| t as u64);
-            hist.record(plans.clone().map(member).sum());
+            hist.record(plan.member_terms().get(m).map_or(0, |&t| t as u64));
         }
     }
 
@@ -610,7 +609,7 @@ impl<S: PlanSource> QueryEngine<S> {
             });
         let t2 = Instant::now();
         let value = with_scratch(|s| plan.execute_sum(snaps, s)).expect(LAYOUT_INVARIANT);
-        self.note_terms(std::iter::once(&*plan));
+        self.note_terms(&plan);
         let t3 = Instant::now();
         let lookup = (t2 - t0).saturating_sub(decompose_t);
         let aggregate = t3 - t2;
@@ -691,12 +690,13 @@ impl<S: PlanSource> QueryEngine<S> {
 
     /// Evaluates already-decomposed groups against one consistent
     /// snapshot set, returning one value per group — the shard-serving
-    /// entry point. A shard router splits a mask's decomposition by
-    /// ownership, calls this on each shard, and folds the per-group
-    /// values back in decompose order; because each group's accumulation
-    /// is self-contained the merged sum is bit-identical to the unsharded
-    /// [`QueryEngine::query`]. `QueryTiming.decompose` is zero —
-    /// decomposition happened at the router.
+    /// entry point. A shard router hands each shard its slice of one
+    /// mask's decomposition and folds the per-group values back in
+    /// decompose order; because each group's accumulation is
+    /// self-contained the merged sum is bit-identical to the unsharded
+    /// [`QueryEngine::query`]. The whole list is one cached plan: a slice
+    /// repeats exactly when its mask does. `QueryTiming.decompose` is
+    /// zero — decomposition happened at the router.
     ///
     /// # Panics
     /// Panics if a member store has no published snapshot.
@@ -708,30 +708,17 @@ impl<S: PlanSource> QueryEngine<S> {
         let tid = o4a_obs::trace::current();
         let t1 = Instant::now();
         let t1_ns = trace_now(tid);
-        // lookup stage: one cached plan per group — a shard's slice is a
-        // batch-dependent concatenation of many masks' groups, so a
-        // whole-slice key would almost never repeat, while individual
-        // groups recur across batches
-        let epoch = self.source.epoch();
-        let plans: Vec<Arc<CompiledPlan>> = groups
-            .iter()
-            .map(|g| {
-                let one = std::slice::from_ref(g);
-                self.plan_cache
-                    .get_or_compile_groups(one, epoch, || compile(&self.source, one))
-            })
-            .collect();
+        let plan = self
+            .plan_cache
+            .get_or_compile_groups(groups, self.source.epoch(), || {
+                compile(&self.source, groups)
+            });
         let lookup_t = t1.elapsed();
         emit_stage(tid, o4a_obs::trace::SpanKind::Lookup, t1_ns, groups.len());
         let t2 = Instant::now();
         let t2_ns = trace_now(tid);
-        let values: Vec<f32> = with_scratch(|s| {
-            plans
-                .iter()
-                .map(|p| p.execute_one(&refs, s).expect(LAYOUT_INVARIANT))
-                .collect()
-        });
-        self.note_terms(plans.iter().map(|p| &**p));
+        let values = with_scratch(|s| plan.execute_groups(&refs, s)).expect(LAYOUT_INVARIANT);
+        self.note_terms(&plan);
         let aggregate_t = t2.elapsed();
         emit_stage(
             tid,
@@ -793,23 +780,23 @@ pub trait QueryBackend: Send + Sync {
     /// Evaluates already-decomposed groups against one consistent
     /// snapshot, one value per group in input order — the scatter leg of
     /// sharded serving. A router splits a mask's decomposition by shard
-    /// ownership, calls this on each shard, and folds the per-group
-    /// values back in the original decompose order; each group's
-    /// accumulation is self-contained, so the fold is bit-identical to
-    /// the unsharded answer. `QueryTiming.decompose` is zero
-    /// (decomposition happened at the router).
+    /// ownership, calls this once per shard with that shard's slice, and
+    /// folds the per-group values back in the original decompose order;
+    /// each group's accumulation is self-contained, so the fold is
+    /// bit-identical to the unsharded answer. `QueryTiming.decompose` is
+    /// zero (decomposition happened at the router).
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming);
 
-    /// `(hits, misses)` of the backend's mask-to-groups memo; `(0, 0)`
-    /// for a backend without one. Only a shard router keeps one: it must
-    /// decompose every mask to scatter its groups, while an engine
+    /// `(hits, misses)` of the backend's mask-to-routing cache; `(0, 0)`
+    /// for a backend without one. Only a shard router keeps one: it
+    /// caches each mask's decomposition split by shard, while an engine
     /// decomposes only to compile a plan its cache is missing.
     fn decomp_cache_stats(&self) -> (u64, u64) {
         (0, 0)
     }
 
-    /// Decompositions the backend's mask-to-groups memo holds now; `0`
-    /// for a backend without one.
+    /// Masks the backend's mask-to-routing cache holds now; `0` for a
+    /// backend without one.
     fn decomp_cache_entries(&self) -> u64 {
         0
     }

@@ -32,10 +32,15 @@
 //! recorder (drained by the `TRACE` verb; equivalent to `O4A_TRACE=N`),
 //! and `--trace-slow-us US` logs a structured stage breakdown for any
 //! request slower than `US` microseconds (equivalent to
-//! `O4A_TRACE_SLOW_US=US`). Each backend caches one compiled plan per
-//! hot mask (`O4A_PLAN_CACHE`, default 4096) and decomposes a mask only
-//! to compile a missing plan; a sharded router also keeps a 256-entry
-//! mask-to-groups memo, since it must decompose every mask to scatter.
+//! `O4A_TRACE_SLOW_US=US`). Each backend caches up to 4096 compiled
+//! plans, one per hot mask, and decomposes a mask only to compile a
+//! missing plan; a sharded router caches each hot mask's routing (its
+//! decomposition split by shard) under the same bound, and each shard
+//! caches one plan per mask slice.
+//!
+//! An artifact that cannot be read, parsed or written, an address that
+//! cannot be bound, or an `--addr-file` that cannot be written prints
+//! one error line and exits with status 1.
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::{truth_pyramid, One4AllSt};
@@ -52,7 +57,7 @@ use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Hierarchy;
 use o4a_models::multiscale::PyramidPredictor;
 use o4a_models::predictor::TrainConfig;
-use o4a_serve::cli::{flag_value, usage_exit};
+use o4a_serve::cli::{flag_value, or_exit, usage_exit};
 use o4a_serve::{serve, ServeConfig, ShardRouter};
 use o4a_tensor::SeededRng;
 use std::path::PathBuf;
@@ -189,8 +194,11 @@ fn run_ensemble(args: &Args, n: usize) {
         }
         let truths = truth_pyramid(&hier, &flow, &val_slots);
         let plan = plan_ensemble(&hier, &profiles, &truths, &PlanOptions::default());
-        std::fs::create_dir_all(&args.artifacts).expect("create artifact dir");
-        save_plan(&plan, &plan_path).expect("persist ensemble plan");
+        or_exit(
+            std::fs::create_dir_all(&args.artifacts),
+            args.artifacts.display(),
+        );
+        or_exit(save_plan(&plan, &plan_path), plan_path.display());
         o4a_obs::info!(
             "serve",
             "persisted ensemble plan: {} ({} entries, {} members, cost {:.3})",
@@ -202,7 +210,7 @@ fn run_ensemble(args: &Args, n: usize) {
     }
 
     // --- cold start: the plan artifact is the only planner state read ---
-    let plan = load_plan(&plan_path).expect("cold-start plan artifact");
+    let plan = or_exit(load_plan(&plan_path), plan_path.display());
     o4a_obs::info!(
         "serve",
         "cold-started ensemble plan from {} (revision {}, members {:?})",
@@ -214,17 +222,17 @@ fn run_ensemble(args: &Args, n: usize) {
     // the backend never reports ready with a half-published ensemble.
     let mut stores = Vec::with_capacity(plan.members.len());
     for name in &plan.members {
-        let mut member =
-            HotspotExpert::from_name(&plan.hier, name).expect("member name encodes its config");
+        let mut member = or_exit(
+            HotspotExpert::from_name(&plan.hier, name).ok_or("not a stripe expert name"),
+            format_args!("plan member {name:?}"),
+        );
         let frames: Vec<Vec<f32>> = member
             .predict_pyramid(&flow, &cfg, &[slot])
             .into_iter()
             .map(|mut per_t| per_t.remove(0))
             .collect();
         let store = Arc::new(PredictionStore::for_hierarchy_labeled(&plan.hier, name));
-        store
-            .publish_checked(frames)
-            .expect("member snapshot must match the hierarchy");
+        or_exit(store.publish_checked(frames), name);
         stores.push(store);
     }
     let single: Arc<dyn QueryBackend> = Arc::new(EnsembleServer::new(plan.clone(), stores.clone()));
@@ -317,11 +325,18 @@ fn main() {
                 &cfg,
                 TrainConfig::default(),
             );
-            std::fs::create_dir_all(&args.artifacts).expect("create artifact dir");
+            or_exit(
+                std::fs::create_dir_all(&args.artifacts),
+                args.artifacts.display(),
+            );
             let index_path = args.artifacts.join("index.o4aidx");
             let model_path = args.artifacts.join("model.o4amdl");
-            codec::save_index(&index, &index_path).expect("persist index");
-            std::fs::write(&model_path, deploy::save_model(&mut model)).expect("persist model");
+            or_exit(codec::save_index(&index, &index_path), index_path.display());
+            let model_bytes = deploy::save_model(&mut model);
+            or_exit(
+                std::fs::write(&model_path, model_bytes),
+                model_path.display(),
+            );
             o4a_obs::info!(
                 "serve",
                 "persisted artifacts: {} ({} entries), {}",
@@ -334,7 +349,7 @@ fn main() {
     };
 
     // --- cold start from disk ---
-    let index = codec::load_index(&index_path).expect("cold-start index artifact");
+    let index = or_exit(codec::load_index(&index_path), index_path.display());
     let hier = index.hier.clone();
     o4a_obs::info!(
         "serve",
@@ -347,14 +362,14 @@ fn main() {
     let (flow, slot) = synthetic_flow(hier.h());
     let frames: Vec<Vec<f32>> = match &model_path {
         Some(path) => {
-            let bytes = std::fs::read(path).expect("read model artifact");
+            let bytes = or_exit(std::fs::read(path), path.display());
             let mut model = One4AllSt::standard(
                 &mut SeededRng::new(1),
                 hier.clone(),
                 &cfg,
                 TrainConfig::default(),
             );
-            deploy::load_model(&mut model, &bytes).expect("cold-start model artifact");
+            or_exit(deploy::load_model(&mut model, &bytes), path.display());
             o4a_obs::info!("serve", "cold-started model from {}", path.display());
             model
                 .predict_pyramid(&flow, &cfg, &[slot])
@@ -375,9 +390,7 @@ fn main() {
     };
 
     let store = Arc::new(PredictionStore::for_hierarchy(&hier));
-    store
-        .publish_checked(frames)
-        .expect("snapshot must match the hierarchy");
+    or_exit(store.publish_checked(frames), "served snapshot");
     let single: Arc<dyn QueryBackend> = Arc::new(RegionServer::new(index.clone(), store.clone()));
     let backend = sharded(single, args.shards, || {
         Arc::new(RegionServer::new(index.clone(), store.clone())) as Arc<dyn QueryBackend>
@@ -388,25 +401,25 @@ fn main() {
 /// Binds the server on the configured address and blocks until
 /// `--run-secs` elapses (or forever, logging periodic stats).
 fn serve_and_wait(backend: Arc<dyn QueryBackend>, args: &Args) {
-    let handle = serve(
-        backend,
-        ServeConfig {
-            addr: args.addr.clone(),
-            workers: args.workers,
-            coalesce_window: Duration::from_micros(args.window_us),
-            max_batch_masks: args.max_batch,
-            queue_cap: args.queue_cap,
-            event_loops: args.loops,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let cfg = ServeConfig {
+        addr: args.addr.clone(),
+        workers: args.workers,
+        coalesce_window: Duration::from_micros(args.window_us),
+        max_batch_masks: args.max_batch,
+        queue_cap: args.queue_cap,
+        event_loops: args.loops,
+        ..ServeConfig::default()
+    };
+    let handle = or_exit(serve(backend, cfg), format_args!("bind {}", args.addr));
     println!("listening on {}", handle.addr());
     if let Some(path) = &args.addr_file {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).ok();
         }
-        std::fs::write(path, handle.addr().to_string()).expect("write --addr-file");
+        or_exit(
+            std::fs::write(path, handle.addr().to_string()),
+            path.display(),
+        );
     }
 
     match args.run_secs {

@@ -1,8 +1,10 @@
 //! Command-line helpers shared by the `serve` and `loadgen` binaries: a
 //! bad invocation (`--help`, an unknown flag, a missing or unparsable
-//! value) prints the usage text to stderr and exits with status 2
-//! instead of panicking.
+//! value) prints the usage text to stderr and exits with status 2, and a
+//! failed artifact or socket operation prints one error line and exits
+//! with status 1, instead of panicking.
 
+use std::fmt::Display;
 use std::str::FromStr;
 
 /// Prints `msg` (when non-empty) and `usage` to stderr, then exits with
@@ -23,4 +25,13 @@ pub fn flag_value<T: FromStr>(usage: &str, flag: &str, value: Option<String>) ->
     };
     v.parse()
         .unwrap_or_else(|_| usage_exit(usage, &format!("bad value for {flag}: {v}")))
+}
+
+/// The value of `result`; on an error prints `error: {what}: {err}` to
+/// stderr and exits with status 1.
+pub fn or_exit<T, E: Display>(result: Result<T, E>, what: impl Display) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
 }

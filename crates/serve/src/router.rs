@@ -18,17 +18,25 @@
 //! and K>1 produce identical bits (`tests/shard_props.rs`).
 //!
 //! Ownership is a consistent-hash ring over each group's *anchor cell*
-//! (its layer plus first — row-major smallest — cell): 32 virtual nodes
+//! (its layer plus first — row-major smallest — cell): 128 virtual nodes
 //! per shard, FNV-1a 64 points, successor lookup. Anchoring on a cell
 //! rather than the whole group keeps assignment stable when neighboring
 //! masks decompose into overlapping group sets.
+//!
+//! **Plan-first.** Routing depends only on the mask, so the router caches
+//! it per mask: a repeated region skips Algorithm 1 and the ring, and
+//! each shard is called once with the mask's slice, which it answers from
+//! one cached plan (the slice repeats exactly when the mask does).
 
+use o4a_core::compiled::{StampLru, PLAN_CACHE_CAP};
 use o4a_core::server::{QueryBackend, QueryTiming};
 use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
 use o4a_obs::trace::{self, SpanEvent, SpanKind};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -87,48 +95,69 @@ fn anchor_hash(layer: usize, r: usize, c: usize) -> u64 {
     mix64(fnv1a64(&key))
 }
 
-/// Masks the router's decomposition memo retains. Serving workloads
-/// query a working set of regions over and over (every snapshot refresh
-/// re-answers the same masks), so a few hundred entries cover the common
-/// case while bounding memory for adversarial mask streams.
-const DECOMP_CACHE_CAP: usize = 256;
+/// How one mask's decomposition scatters: each shard's slice of the
+/// groups, and the owning shard of each group in decomposition order.
+/// Folding the shards' per-group values back through `owners` replays
+/// the unsharded addition order exactly.
+struct Routing {
+    /// Per shard, its groups in decomposition order.
+    slices: Vec<Vec<DecomposedGroup>>,
+    /// Owning shard of each group, in decomposition order.
+    owners: Vec<u8>,
+}
 
-/// An LRU memo of mask → hierarchical decomposition.
-///
-/// The router must decompose every mask to scatter its groups (the
-/// shards only ever see groups), and decomposition depends only on the
-/// mask, so a repeated region skips Algorithm 1. Entries carry a
-/// last-use stamp from a shared clock; inserts past capacity evict the
-/// stalest entry. Its counters and size reach the serving layer's STATS
-/// and METRICS through [`QueryBackend::decomp_cache_stats`] and
-/// [`QueryBackend::decomp_cache_entries`].
-struct DecompCache {
-    /// `(entries keyed by mask -> (groups, last-use stamp), clock)`.
-    map: Mutex<(HashMap<Mask, DecompEntry>, u64)>,
-    cap: usize,
+impl Routing {
+    /// Splits `groups` across the `k` shards of `ring`.
+    fn new(ring: &[(u64, usize)], k: usize, groups: Vec<DecomposedGroup>) -> Routing {
+        let mut slices = vec![Vec::new(); k];
+        let owners = groups
+            .into_iter()
+            .map(|g| {
+                let s = owner(ring, &g);
+                slices[s].push(g);
+                s as u8
+            })
+            .collect();
+        Routing { slices, owners }
+    }
+}
+
+/// Which shard of `ring` owns a decomposed group: successor of the anchor
+/// cell's hash point.
+fn owner(ring: &[(u64, usize)], group: &DecomposedGroup) -> usize {
+    let (r, c) = group.cells.first().copied().unwrap_or((0, 0));
+    let h = anchor_hash(group.layer, r, c);
+    let idx = ring.partition_point(|&(p, _)| p < h);
+    ring[idx % ring.len()].1
+}
+
+/// The router's one mask-keyed cache: mask -> [`Routing`], bounded by the
+/// plan cache's [`StampLru`]. A repeated region skips Algorithm 1 and the
+/// ring searches, and its per-shard slices are the very group lists the
+/// shards key their plans by. Its counters and size reach the serving
+/// layer's STATS and METRICS through [`QueryBackend::decomp_cache_stats`]
+/// and [`QueryBackend::decomp_cache_entries`].
+struct RouteCache {
+    lru: Mutex<StampLru<Mask, Arc<Routing>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Cached decomposition plus its last-use stamp.
-type DecompEntry = (Arc<Vec<DecomposedGroup>>, u64);
-
-impl DecompCache {
-    /// Creates an empty memo holding at most `cap` decompositions.
+impl RouteCache {
+    /// Creates an empty cache holding at most `cap` routings.
     fn with_capacity(cap: usize) -> Self {
-        DecompCache {
-            map: Mutex::new((HashMap::new(), 0)),
-            cap: cap.max(1),
+        RouteCache {
+            lru: Mutex::new(StampLru::with_capacity(cap)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, (HashMap<Mask, DecompEntry>, u64)> {
-        self.map.lock().expect("decomposition memo poisoned")
+    fn lock(&self) -> MutexGuard<'_, StampLru<Mask, Arc<Routing>>> {
+        self.lru.lock().expect("routing cache poisoned")
     }
 
-    /// `(hits, misses)` since the memo was created.
+    /// `(hits, misses)` since the cache was created.
     fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -136,37 +165,20 @@ impl DecompCache {
         )
     }
 
-    /// Returns the cached decomposition, computing (outside the lock) and
-    /// inserting it on a miss.
-    fn get(&self, hier: &Hierarchy, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
-        {
-            let mut guard = self.lock();
-            let (map, clock) = &mut *guard;
-            if let Some((groups, stamp)) = map.get_mut(mask) {
-                *clock += 1;
-                *stamp = *clock;
-                let groups = groups.clone();
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return groups;
-            }
+    /// Returns the cached routing of `mask`, computing it with `route`
+    /// (outside the lock) and inserting it on a miss.
+    fn get(&self, mask: &Mask, route: impl FnOnce() -> Routing) -> Arc<Routing> {
+        let mut h = DefaultHasher::new();
+        mask.hash(&mut h);
+        let hash = h.finish();
+        if let Some(routing) = self.lock().get(hash, |m| m == mask).cloned() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return routing;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let groups = Arc::new(decompose(hier, mask));
-        let mut guard = self.lock();
-        let (map, clock) = &mut *guard;
-        if map.len() >= self.cap && !map.contains_key(mask) {
-            if let Some(stale) = map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(m, _)| m.clone())
-            {
-                map.remove(&stale);
-            }
-        }
-        *clock += 1;
-        map.insert(mask.clone(), (groups.clone(), *clock));
-        groups
+        let routing = Arc::new(route());
+        self.lock().insert(hash, mask.clone(), routing.clone());
+        routing
     }
 }
 
@@ -176,9 +188,8 @@ pub struct ShardRouter {
     shards: Vec<Arc<dyn QueryBackend>>,
     /// Sorted (hash point, shard) ring.
     ring: Vec<(u64, usize)>,
-    /// The router decomposes masks itself (the shards only ever see
-    /// groups), so the STATS memo counters come from here.
-    decomp_cache: DecompCache,
+    /// Mask -> routing; the STATS memo counters come from here.
+    routes: RouteCache,
     /// Groups routed to each shard since start.
     loads: Vec<AtomicU64>,
 }
@@ -188,10 +199,11 @@ impl ShardRouter {
     /// geometry).
     ///
     /// # Panics
-    /// Panics if `shards` is empty or the hierarchies disagree on
-    /// dimensions.
+    /// Panics if `shards` is empty or holds more than 256 backends, or the
+    /// hierarchies disagree on dimensions.
     pub fn new(shards: Vec<Arc<dyn QueryBackend>>) -> ShardRouter {
         assert!(!shards.is_empty(), "router needs at least one shard");
+        assert!(shards.len() <= 256, "a routing owner is one byte per group");
         let h0 = shards[0].hierarchy();
         let dims = (h0.h(), h0.w(), h0.num_layers(), h0.k());
         for s in &shards[1..] {
@@ -207,7 +219,7 @@ impl ShardRouter {
         ShardRouter {
             shards,
             ring,
-            decomp_cache: DecompCache::with_capacity(DECOMP_CACHE_CAP),
+            routes: RouteCache::with_capacity(PLAN_CACHE_CAP),
             loads,
         }
     }
@@ -220,58 +232,65 @@ impl ShardRouter {
     /// Which shard owns a decomposed group: successor of the anchor
     /// cell's hash point on the ring.
     pub fn shard_for(&self, group: &DecomposedGroup) -> usize {
-        let (r, c) = group.cells.first().copied().unwrap_or((0, 0));
-        let h = anchor_hash(group.layer, r, c);
-        let idx = self.ring.partition_point(|&(p, _)| p < h);
-        self.ring[idx % self.ring.len()].1
+        owner(&self.ring, group)
     }
 
-    /// Scatter: routes groups to their owners, evaluates each shard's
-    /// slice with one [`QueryBackend::query_groups_timed`] call, and
-    /// gathers the per-group values back into input order. The returned
-    /// timing's `index` is the exact sum of the shard timings.
-    fn scatter_gather(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, Duration) {
-        let k = self.shards.len();
-        let mut per_shard: Vec<Vec<DecomposedGroup>> = vec![Vec::new(); k];
-        // (shard, position in that shard's slice) per input group
-        let placement: Vec<(usize, usize)> = groups
-            .iter()
-            .map(|g| {
-                let s = self.shard_for(g);
-                per_shard[s].push(g.clone());
-                (s, per_shard[s].len() - 1)
-            })
-            .collect();
+    /// Scatter-gather over `routes`: each shard is called once per
+    /// non-empty slice, shard by shard, and every group's value comes
+    /// back in decomposition order, routing after routing. The returned
+    /// duration is the exact sum of the shards' `index` timings.
+    fn scatter_gather<R: Borrow<Routing>>(&self, routes: &[R]) -> (Vec<f32>, Duration) {
         // per-shard scatter and gather spans ride on whatever trace the
         // executor set as current on this thread (0 = untraced)
         let tid = trace::current();
-        let mut shard_values: Vec<Vec<f32>> = Vec::with_capacity(k);
+        let mut values: Vec<Vec<f32>> = Vec::with_capacity(self.shards.len());
         let mut index_total = Duration::ZERO;
-        for (s, slice) in per_shard.iter().enumerate() {
-            if slice.is_empty() {
-                shard_values.push(Vec::new());
-                continue;
-            }
+        for (s, shard) in self.shards.iter().enumerate() {
             let t0_ns = if tid != 0 { trace::now_ns() } else { 0 };
-            let (vals, t) = self.shards[s].query_groups_timed(slice);
-            if tid != 0 {
-                trace::emit(&SpanEvent {
-                    trace_id: tid,
-                    span: SpanKind::ShardScatter as u16,
-                    parent: SpanKind::ExecBatch as u16,
-                    lane: s as u32,
-                    t_start_ns: t0_ns,
-                    t_end_ns: trace::now_ns(),
-                    bytes: slice.len() as u64,
-                });
+            let mut vals: Vec<f32> = Vec::new();
+            for route in routes {
+                let slice = &route.borrow().slices[s];
+                if slice.is_empty() {
+                    continue;
+                }
+                let (v, t) = shard.query_groups_timed(slice);
+                debug_assert_eq!(v.len(), slice.len());
+                index_total += t.index;
+                if vals.is_empty() {
+                    vals = v;
+                } else {
+                    vals.extend_from_slice(&v);
+                }
             }
-            debug_assert_eq!(vals.len(), slice.len());
-            self.loads[s].fetch_add(slice.len() as u64, Ordering::Relaxed);
-            index_total += t.index;
-            shard_values.push(vals);
+            if !vals.is_empty() {
+                self.loads[s].fetch_add(vals.len() as u64, Ordering::Relaxed);
+                if tid != 0 {
+                    trace::emit(&SpanEvent {
+                        trace_id: tid,
+                        span: SpanKind::ShardScatter as u16,
+                        parent: SpanKind::ExecBatch as u16,
+                        lane: s as u32,
+                        t_start_ns: t0_ns,
+                        t_end_ns: trace::now_ns(),
+                        bytes: vals.len() as u64,
+                    });
+                }
+            }
+            values.push(vals);
         }
         let t_gather_ns = if tid != 0 { trace::now_ns() } else { 0 };
-        let gathered: Vec<f32> = placement.iter().map(|&(s, i)| shard_values[s][i]).collect();
+        // draw each routing's values from the shards' outputs through
+        // per-shard cursors, following its owner bytes
+        let mut cursors = vec![0usize; self.shards.len()];
+        let gathered: Vec<f32> = routes
+            .iter()
+            .flat_map(|route| route.borrow().owners.iter())
+            .map(|&s| {
+                let s = s as usize;
+                cursors[s] += 1;
+                values[s][cursors[s] - 1]
+            })
+            .collect();
         if tid != 0 {
             trace::emit(&SpanEvent {
                 trace_id: tid,
@@ -280,7 +299,7 @@ impl ShardRouter {
                 lane: 0,
                 t_start_ns: t_gather_ns,
                 t_end_ns: trace::now_ns(),
-                bytes: groups.len() as u64,
+                bytes: gathered.len() as u64,
             });
         }
         (gathered, index_total)
@@ -298,28 +317,27 @@ impl QueryBackend for ShardRouter {
 
     fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
         let hier = self.shards[0].hierarchy();
+        let k = self.shards.len();
         let t0 = Instant::now();
-        let decomps: Vec<Arc<Vec<DecomposedGroup>>> = masks
+        let routes: Vec<Arc<Routing>> = masks
             .iter()
-            .map(|m| self.decomp_cache.get(hier, m))
-            .collect();
-        let decompose_t = t0.elapsed();
-        // flatten every mask's groups, remembering each mask's span
-        let mut flat: Vec<DecomposedGroup> = Vec::new();
-        let spans: Vec<std::ops::Range<usize>> = decomps
-            .iter()
-            .map(|groups| {
-                let start = flat.len();
-                flat.extend(groups.iter().cloned());
-                start..flat.len()
+            .map(|m| {
+                self.routes
+                    .get(m, || Routing::new(&self.ring, k, decompose(hier, m)))
             })
             .collect();
-        let (values, index_t) = self.scatter_gather(&flat);
+        let decompose_t = t0.elapsed();
+        let (values, index_t) = self.scatter_gather(&routes);
         // fold each mask's per-group values in decomposition order — the
         // exact f32 additions the unsharded path performs
-        let out: Vec<f32> = spans
+        let mut rest = &values[..];
+        let out = routes
             .iter()
-            .map(|span| values[span.clone()].iter().sum())
+            .map(|route| {
+                let (mine, tail) = rest.split_at(route.owners.len());
+                rest = tail;
+                mine.iter().sum()
+            })
             .collect();
         (
             out,
@@ -331,7 +349,8 @@ impl QueryBackend for ShardRouter {
     }
 
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        let (values, index_t) = self.scatter_gather(groups);
+        let routing = Routing::new(&self.ring, self.shards.len(), groups.to_vec());
+        let (values, index_t) = self.scatter_gather(&[routing]);
         (
             values,
             QueryTiming {
@@ -342,11 +361,11 @@ impl QueryBackend for ShardRouter {
     }
 
     fn decomp_cache_stats(&self) -> (u64, u64) {
-        self.decomp_cache.stats()
+        self.routes.stats()
     }
 
     fn decomp_cache_entries(&self) -> u64 {
-        self.decomp_cache.lock().0.len() as u64
+        self.routes.lock().len() as u64
     }
 
     fn plan_revision(&self) -> u64 {
@@ -361,8 +380,8 @@ impl QueryBackend for ShardRouter {
     }
 
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        // the router holds no plan cache of its own; the shards compile
-        // per-group-slice plans — report their totals
+        // the router holds no plan cache of its own; each shard compiles
+        // one plan per mask slice — report their totals
         self.shards.iter().fold((0, 0, 0), |acc, s| {
             let (h, m, e) = s.plan_cache_stats();
             (acc.0 + h, acc.1 + m, acc.2 + e)
@@ -401,22 +420,37 @@ mod tests {
     #[test]
     fn decomp_cache_counts_and_evicts_at_capacity() {
         let hier = Hierarchy::new(4, 4, 2, 3).unwrap();
-        let memo = DecompCache::with_capacity(4);
-        // 16 distinct masks, 3 rounds over a 4-entry memo: every lookup
+        let ring = ring_points(2);
+        let memo = RouteCache::with_capacity(4);
+        let route = |m: &Mask| memo.get(m, || Routing::new(&ring, 2, decompose(&hier, m)));
+        // 16 distinct masks, 3 rounds over a 4-entry cache: every lookup
         // misses (LRU over a cyclic scan), and the map stays bounded
         for _round in 0..3 {
             for r in 0..4 {
                 for c in 0..4 {
                     let m = Mask::rect(4, 4, r, c, r + 1, c + 1);
-                    assert_eq!(*memo.get(&hier, &m), decompose(&hier, &m));
+                    let routing = route(&m);
+                    // the slices, read back through the owners, are the
+                    // decomposition in order
+                    let mut next = [0usize; 2];
+                    let replay: Vec<DecomposedGroup> = routing
+                        .owners
+                        .iter()
+                        .map(|&s| {
+                            let s = s as usize;
+                            next[s] += 1;
+                            routing.slices[s][next[s] - 1].clone()
+                        })
+                        .collect();
+                    assert_eq!(replay, decompose(&hier, &m));
                 }
             }
         }
         assert_eq!(memo.stats(), (0, 48));
-        assert_eq!(memo.lock().0.len(), 4);
+        assert_eq!(memo.lock().len(), 4);
         // the most recent masks are resident and hit
         let last = Mask::rect(4, 4, 3, 3, 4, 4);
-        let _ = memo.get(&hier, &last);
+        let _ = memo.get(&last, || unreachable!("resident"));
         assert_eq!(memo.stats(), (1, 48));
     }
 

@@ -226,3 +226,57 @@ fn stage_accounting_sums_exactly_across_shards() {
         assert_eq!(hits + misses, masks.len() as u64);
     }
 }
+
+/// Plan-first routing, counted. Over a fixed mask set smaller than the
+/// caches, a second pass routes every mask from the router's cache and
+/// each shard answers each of its (mask, shard) slices with one cached
+/// plan: shard plan lookups equal the non-empty slices, not the groups,
+/// and nothing misses or evicts.
+#[test]
+fn second_pass_looks_up_one_plan_per_mask_slice() {
+    let (hier, single, _) = fixture();
+    let shard = || {
+        Arc::new(RegionServer::new(
+            single.source().clone(),
+            Arc::clone(&single.stores()[0]),
+        )) as Arc<dyn QueryBackend>
+    };
+    let router = ShardRouter::new(vec![shard(), shard()]);
+    let masks: Vec<Mask> = (0..64).map(|i| mask_for(5_000 + i)).collect();
+    let (slices, groups) = masks.iter().fold((0u64, 0u64), |(slices, groups), m| {
+        let owners: Vec<usize> = decompose(hier, m)
+            .iter()
+            .map(|g| router.shard_for(g))
+            .collect();
+        let lanes = (0..2).filter(|s| owners.contains(s)).count() as u64;
+        (slices + lanes, groups + owners.len() as u64)
+    });
+    assert!(
+        slices < groups,
+        "the fixture must put several groups on a shard"
+    );
+
+    let _ = router.query_many_timed(&masks);
+    let (_, route_misses) = router.decomp_cache_stats();
+    let (plan_hits, plan_misses, _) = router.plan_cache_stats();
+    let (values, _) = router.query_many_timed(&masks);
+    let (reference, _) = single.query_many_timed(&masks);
+    for (got, want) in values.iter().zip(&reference) {
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    let (_, route_misses2) = router.decomp_cache_stats();
+    assert_eq!(
+        route_misses2 - route_misses,
+        0,
+        "second pass: routing misses"
+    );
+    let (plan_hits2, plan_misses2, evictions) = router.plan_cache_stats();
+    assert_eq!(plan_misses2 - plan_misses, 0, "second pass: plan misses");
+    assert_eq!(evictions, 0);
+    assert_eq!(
+        plan_hits2 - plan_hits,
+        slices,
+        "one shard plan lookup per non-empty (mask, shard) slice, not per group ({groups})"
+    );
+}

@@ -346,6 +346,46 @@ awk '
     }
 ' "$SMOKE_DIR/BENCH_serve128.json"
 
+# Sharded paper-scale smoke: the same raster and pool behind a K=2
+# ShardRouter, with the side-128 gates above. The router caches each
+# mask's routing and every shard one plan per (mask, shard) slice, so the
+# repeats must hit the shards' plan caches as they do the unsharded one.
+# The throughput is printed, not gated.
+echo "==> sharded paper-scale serve smoke (serve --side 128 --shards 2 + loadgen Task 1-4 pool, ~3s)"
+./target/release/serve --addr 127.0.0.1:0 --addr-file "$SMOKE_DIR/saddr128" \
+    --side 128 --shards 2 --artifacts "$SMOKE_DIR/artifacts128" --run-secs 8 \
+    > "$SMOKE_DIR/sserve128.log" 2>&1 &
+SSERVE128_PID=$!
+./target/release/loadgen --addr-file "$SMOKE_DIR/saddr128" --threads 2 \
+    --secs 3 --out "$SMOKE_DIR/BENCH_sserve128.json"
+wait "$SSERVE128_PID"
+awk '
+    /"throughput_rps"/ { gsub(/[^0-9.]/, "", $2); rps = $2 + 0 }
+    /"client_errors"/ { gsub(/[^0-9.]/, "", $2); cerr = $2 + 0 }
+    /"outcomes"/ {
+        match($0, /"error": [0-9]+/)
+        oerr = substr($0, RSTART + 9, RLENGTH - 9) + 0
+        outcomes = 1
+    }
+    /"protocol_errors"/ {
+        match($0, /"protocol_errors": [0-9]+/)
+        perr = substr($0, RSTART + 19, RLENGTH - 19) + 0
+        perr_seen = 1
+    }
+    /"plan_cache"/ {
+        match($0, /"hit_rate": [0-9.]+/)
+        rate = substr($0, RSTART + 12, RLENGTH - 12) + 0
+        seen = 1
+    }
+    END {
+        printf "sharded side-128 serve smoke: %.1f rps, plan-cache hit rate %.3f\n", rps, rate
+        if (!outcomes || !seen || !perr_seen) { print "FAIL: sharded side-128 bench JSON lacks outcomes, plan_cache or server counters"; exit 1 }
+        if (cerr != 0 || oerr != 0) { print "FAIL: error outcomes on the sharded side-128 run"; exit 1 }
+        if (perr != 0) { print "FAIL: protocol errors on the sharded side-128 run"; exit 1 }
+        if (rate < 0.9) { print "FAIL: sharded side-128 plan-cache hit rate below 0.9"; exit 1 }
+    }
+' "$SMOKE_DIR/BENCH_sserve128.json"
+
 # Ensemble serve smoke: cold-start a 2-member ensemble from its O4AENS01
 # artifact, drive it with the load generator, and require the ensemble
 # plan gauges and the engine's stage histograms in the scrape.
