@@ -62,13 +62,12 @@ use crate::frames::{layout_signature, FrameData, FrameSet};
 use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::mask::Mask;
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A fully resolved query: every combination term the index produces for
 /// one decomposition, packed as flat frame offsets and signs, plus the
@@ -599,6 +598,13 @@ impl PlanCache {
         }
     }
 
+    /// The LRU, even if a panicking holder poisoned the lock: the
+    /// guarded lookups and updates run no code that can panic between
+    /// their steps, so the map is whole.
+    fn lock_lru(&self) -> MutexGuard<'_, StampLru<PlanKey, (u64, Arc<CompiledPlan>)>> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// `(hits, misses, evictions)` since the cache was created.
     pub fn stats(&self) -> (u64, u64, u64) {
         (
@@ -610,7 +616,7 @@ impl PlanCache {
 
     /// Plans currently cached.
     pub fn len(&self) -> usize {
-        self.lru.lock().len()
+        self.lock_lru().len()
     }
 
     /// Whether the cache is empty.
@@ -649,7 +655,7 @@ impl PlanCache {
     ) -> Arc<CompiledPlan> {
         let hash = key.hash64();
         {
-            let mut lru = self.lru.lock();
+            let mut lru = self.lock_lru();
             let found = lru
                 .get(hash, |k| key.matches(k))
                 .map(|(e, plan)| (*e == epoch).then(|| plan.clone()));
@@ -669,8 +675,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(compile());
         let evicted = self
-            .lru
-            .lock()
+            .lock_lru()
             .insert(hash, key.to_owned(), (epoch, plan.clone()));
         if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);

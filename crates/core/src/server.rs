@@ -3,7 +3,7 @@
 //! The offline phase leaves two artifacts: the extended quad-tree of
 //! optimal combinations and a continuously-refreshed snapshot of
 //! multi-scale predictions (the paper stores both in HBase; here an
-//! in-process [`PredictionStore`] guarded by a `parking_lot` lock plays
+//! in-process [`PredictionStore`] guarded by an `RwLock` plays
 //! that role — the exercised query path is identical).
 //!
 //! Answering a region query costs *decomposition + index lookups +
@@ -20,9 +20,8 @@ use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::mask::Mask;
 use o4a_obs::Histogram;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Evaluates one decomposed group against per-layer frames using the
@@ -279,7 +278,9 @@ impl PredictionStore {
         } else {
             FrameSet::from_f32(frames)
         };
-        *self.frames.write() = Arc::new(set);
+        // a poisoned lock still holds a whole snapshot: the guarded write
+        // is a single `Arc` swap
+        *self.frames.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(set);
         Ok(())
     }
 
@@ -312,12 +313,19 @@ impl PredictionStore {
     /// Grabs the current snapshot (in whichever storage precision it was
     /// published); evaluate through [`FrameSet::view`].
     pub fn snapshot(&self) -> Arc<FrameSet> {
-        self.frames.read().clone()
+        self.frames
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Whether a snapshot has been published.
     pub fn is_ready(&self) -> bool {
-        !self.frames.read().is_empty()
+        !self
+            .frames
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 }
 

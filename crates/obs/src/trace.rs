@@ -55,9 +55,9 @@ pub enum SpanKind {
     Request = 1,
     /// Frame reassembly: first byte of the carrying read to parse.
     Assemble = 2,
-    /// Admission to executor pickup (coalescing window + queue wait).
+    /// Admission to executor pickup (time in the executor queue).
     QueueWait = 3,
-    /// One executor batch answering its coalesced jobs.
+    /// One executor job: the request's masks in one backend call.
     ExecBatch = 4,
     /// Mask decomposition into combination groups (derived from the
     /// backend's own `QueryTiming`, so sums reconcile with STATS).

@@ -507,8 +507,8 @@ fn main() {
     });
     if let Some(s) = &server_stats {
         println!(
-            "  server: {} exec batches, {} coalesced masks, {} busy, {} protocol errors",
-            s.exec_batches, s.coalesced_masks, s.busy_rejections, s.protocol_errors
+            "  server: {} exec batches, {} busy, {} protocol errors",
+            s.exec_batches, s.busy_rejections, s.protocol_errors
         );
         println!(
             "  server caches: decomp {}/{} ({:.3} hit rate), plan {}/{} ({:.3} hit rate, \
@@ -590,13 +590,12 @@ fn main() {
         json.push_str(",\n");
         json.push_str(&format!(
             "  \"server\": {{ \"connections\": {}, \"requests\": {}, \"masks_served\": {}, \
-             \"exec_batches\": {}, \"coalesced_masks\": {}, \"busy_rejections\": {}, \
+             \"exec_batches\": {}, \"busy_rejections\": {}, \
              \"protocol_errors\": {}, \"shard_loads\": {:?} }},\n",
             s.connections,
             s.requests,
             s.masks_served,
             s.exec_batches,
-            s.coalesced_masks,
             s.busy_rejections,
             s.protocol_errors,
             s.shard_loads

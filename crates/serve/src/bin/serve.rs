@@ -24,7 +24,8 @@
 //! behind a [`ShardRouter`]; before the listener opens, the router is
 //! proven bit-identical to the single backend over a sample of paper-task
 //! masks (the process panics on any divergence, so a sharded timing run
-//! implies identity held). `--loops N` runs N epoll event-loop threads.
+//! implies identity held). One epoll event loop owns every socket and
+//! hands each admitted query to one of `--workers` executor threads.
 //!
 //! Usage: `--help` prints the flags (the `USAGE` text below).
 //!
@@ -69,9 +70,8 @@ Usage:
   cargo run -p o4a-serve --release --bin serve -- \\
     [--addr 127.0.0.1:7474] [--addr-file PATH] [--side 32] [--layers N] \\
     [--index PATH] [--model PATH] [--artifacts target/serve-artifacts] \\
-    [--ensemble N] [--workers 2] [--window-us 500] [--queue-cap 1024] \\
-    [--max-batch 256] [--shards 1] [--loops 1] [--run-secs S] \\
-    [--trace-every N] [--trace-slow-us US]";
+    [--ensemble N] [--workers 2] [--queue-cap 1024] [--shards 1] \\
+    [--run-secs S] [--trace-every N] [--trace-slow-us US]";
 
 struct Args {
     addr: String,
@@ -83,11 +83,8 @@ struct Args {
     artifacts: PathBuf,
     ensemble: Option<usize>,
     workers: usize,
-    window_us: u64,
     queue_cap: usize,
-    max_batch: usize,
     shards: usize,
-    loops: usize,
     run_secs: Option<f64>,
     trace_every: Option<u64>,
     trace_slow_us: Option<u64>,
@@ -104,11 +101,8 @@ fn parse_args() -> Args {
         artifacts: PathBuf::from("target/serve-artifacts"),
         ensemble: None,
         workers: 2,
-        window_us: 500,
         queue_cap: 1024,
-        max_batch: 256,
         shards: 1,
-        loops: 1,
         run_secs: None,
         trace_every: None,
         trace_slow_us: None,
@@ -125,11 +119,8 @@ fn parse_args() -> Args {
             "--artifacts" => args.artifacts = flag_value(USAGE, &flag, it.next()),
             "--ensemble" => args.ensemble = Some(flag_value(USAGE, &flag, it.next())),
             "--workers" => args.workers = flag_value(USAGE, &flag, it.next()),
-            "--window-us" => args.window_us = flag_value(USAGE, &flag, it.next()),
             "--queue-cap" => args.queue_cap = flag_value(USAGE, &flag, it.next()),
-            "--max-batch" => args.max_batch = flag_value(USAGE, &flag, it.next()),
             "--shards" => args.shards = flag_value(USAGE, &flag, it.next()),
-            "--loops" => args.loops = flag_value(USAGE, &flag, it.next()),
             "--run-secs" => args.run_secs = Some(flag_value(USAGE, &flag, it.next())),
             "--trace-every" => args.trace_every = Some(flag_value(USAGE, &flag, it.next())),
             "--trace-slow-us" => args.trace_slow_us = Some(flag_value(USAGE, &flag, it.next())),
@@ -404,10 +395,7 @@ fn serve_and_wait(backend: Arc<dyn QueryBackend>, args: &Args) {
     let cfg = ServeConfig {
         addr: args.addr.clone(),
         workers: args.workers,
-        coalesce_window: Duration::from_micros(args.window_us),
-        max_batch_masks: args.max_batch,
         queue_cap: args.queue_cap,
-        event_loops: args.loops,
         ..ServeConfig::default()
     };
     let handle = or_exit(serve(backend, cfg), format_args!("bind {}", args.addr));
@@ -429,12 +417,11 @@ fn serve_and_wait(backend: Arc<dyn QueryBackend>, args: &Args) {
             handle.shutdown();
             println!(
                 "shutdown after {secs}s: {} connections, {} requests, {} masks \
-                 ({} exec batches, {} coalesced masks, {} busy, {} protocol errors)",
+                 ({} exec batches, {} busy, {} protocol errors)",
                 stats.connections,
                 stats.requests,
                 stats.masks_served,
                 stats.exec_batches,
-                stats.coalesced_masks,
                 stats.busy_rejections,
                 stats.protocol_errors
             );

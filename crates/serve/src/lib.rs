@@ -14,12 +14,11 @@
 //! * [`evio`] — a minimal vendored epoll/eventfd readiness layer over
 //!   raw syscalls (no external deps): edge-triggered [`evio::Poller`],
 //!   cross-thread [`evio::WakeFd`], pooled read buffers;
-//! * [`server`] — a **nonblocking epoll event loop** data plane: N
-//!   event-loop threads own the sockets and per-connection frame
-//!   reassembly, executor threads run the query work, and requests
-//!   arriving while every executor is busy **coalesce** into a single
-//!   [`o4a_core::server::RegionServer::query_many_timed`] call
-//!   (exercising the PR-1 parallel fan-out under real traffic); load
+//! * [`server`] — a **nonblocking epoll event loop** data plane: one
+//!   event-loop thread owns the sockets and per-connection frame
+//!   reassembly, and executor threads run the query work, one
+//!   [`o4a_core::server::RegionServer::query_many_timed`] call per
+//!   admitted request (a `BATCH` fans out over the compute pool); load
 //!   beyond the **bounded admission queue** is shed with an explicit
 //!   `BUSY` response instead of unbounded latency; with `O4A_TRACE`
 //!   sampling on, requests record full stage trees into the
@@ -38,7 +37,7 @@
 //!
 //! See `DESIGN.md` ("Serving data plane") for the event-loop
 //! architecture, the wire-protocol layout table, the
-//! coalescing/backpressure semantics and the shard-routing exactness
+//! admission/backpressure semantics and the shard-routing exactness
 //! argument.
 
 pub mod cli;

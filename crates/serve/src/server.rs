@@ -2,33 +2,28 @@
 //!
 //! Thread model (fixed, no async runtime):
 //!
-//! * N **event-loop** threads ([`ServeConfig::event_loops`]) each run an
-//!   edge-triggered [`crate::evio::Poller`]. Loop 0 owns the listener and
-//!   accepts until `WouldBlock`; every connection lives on exactly one
-//!   loop as a [`Conn`] state machine — an incremental
-//!   [`wire::FrameAssembler`] parsing `O4ARPC01` frames zero-copy out of
-//!   a pooled read buffer, an ordered response-slot window, and a write
-//!   queue with `EPOLLOUT` backpressure;
+//! * one **event-loop** thread runs an edge-triggered
+//!   [`crate::evio::Poller`]. It owns the listener and accepts until
+//!   `WouldBlock`; every connection is a [`Conn`] state machine — an
+//!   incremental [`wire::FrameAssembler`] parsing `O4ARPC01` frames
+//!   zero-copy out of a pooled read buffer, an ordered response-slot
+//!   window, and a write queue with `EPOLLOUT` backpressure;
 //! * `HEALTH`/`STATS`/`METRICS`/`TRACE` are answered inline on the loop;
 //!   `QUERY`/`BATCH` pass a **bounded admission gate** (beyond
 //!   [`ServeConfig::queue_cap`] outstanding jobs the request is shed
-//!   immediately with `BUSY`) into the loop's pending list;
-//! * pending jobs **coalesce adaptively**: while an executor slot is
-//!   free the batch is submitted immediately (an idle server answers a
-//!   lone query without waiting out a window), and while all slots are
-//!   busy arrivals accumulate until a slot frees or
-//!   [`ServeConfig::coalesce_window`] elapses — so the window is a cap
-//!   on added latency, not a tax on every request;
-//! * a fixed pool of **executor** threads pops one batch at a time,
-//!   answers it with a single [`QueryBackend::query_many_timed`] call
-//!   (one snapshot set, parallel fan-out across the PR-1 compute pool),
-//!   encodes the response frames, and hands them back to the owning
-//!   loop through a completion inbox + `eventfd` wake.
+//!   immediately with `BUSY`) and go straight onto the executor queue as
+//!   one job;
+//! * a fixed pool of **executor** threads pops one job at a time,
+//!   answers it with a single [`QueryBackend::query_many_timed`] call (a
+//!   `BATCH`'s masks all go in that call, so a large batch still fans out
+//!   across the compute pool), encodes the response frame, and hands it
+//!   back to the loop through a completion mailbox + `eventfd` wake.
 //!
 //! Responses are paired with requests by order, so each connection keeps
 //! a seq-indexed slot window: inline answers fill their slot at parse
 //! time, query answers at completion time, and only the filled prefix is
-//! flushed — pipelined clients always read responses in request order.
+//! flushed. Two executors may finish one connection's jobs out of order;
+//! pipelined clients still read responses in request order.
 //!
 //! The server is generic over the query engine: a single-model
 //! `RegionServer`, the ensemble server and the sharded
@@ -36,11 +31,13 @@
 //! trait, so `serve` takes an `Arc<dyn QueryBackend>`.
 //!
 //! Shutdown is cooperative: a flag plus eventfd/condvar wakeups; every
-//! thread is joined before [`ServerHandle::shutdown`] returns.
+//! thread is joined before [`ServerHandle::shutdown`] returns. The loop
+//! closes every connection on its way out; executors still run the jobs
+//! left in the queue, and their answers are dropped.
 //!
 //! When request tracing is sampling (`O4A_TRACE=n` or `--trace-every`),
 //! `QUERY`/`BATCH` requests mint a trace id at parse and every stage —
-//! assemble, queue wait, executor batch, the backend's decompose/index
+//! assemble, queue wait, executor job, the backend's decompose/index
 //! split (derived from the same `QueryTiming` nanoseconds STATS
 //! accumulates, so a trace's stage sums reconcile bit-exactly with
 //! STATS), per-shard scatter, gather, write flush — lands in the
@@ -58,7 +55,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tuning knobs for [`serve`].
 #[derive(Debug, Clone)]
@@ -67,20 +64,12 @@ pub struct ServeConfig {
     pub addr: String,
     /// Executor threads popping the admission queue.
     pub workers: usize,
-    /// Longest a pending job is held for coalescing while every executor
-    /// slot is busy; with a free slot jobs are submitted immediately.
-    pub coalesce_window: Duration,
-    /// Cap on masks folded into one `query_many` execution.
-    pub max_batch_masks: usize,
     /// Admission cap on outstanding (admitted, not yet executing) jobs;
     /// beyond it requests get `BUSY` (`0` sheds every request — a drain
     /// mode).
     pub queue_cap: usize,
     /// Cap on a request frame's payload bytes.
     pub max_payload: usize,
-    /// Event-loop threads. One loop saturates a single core; more loops
-    /// spread connections by accept order for multi-core hosts.
-    pub event_loops: usize,
 }
 
 impl Default for ServeConfig {
@@ -88,11 +77,8 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            coalesce_window: Duration::from_micros(500),
-            max_batch_masks: 256,
             queue_cap: 1024,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
-            event_loops: 1,
         }
     }
 }
@@ -105,7 +91,6 @@ pub struct ServerStats {
     requests: AtomicU64,
     masks_served: AtomicU64,
     exec_batches: AtomicU64,
-    coalesced_masks: AtomicU64,
     busy_rejections: AtomicU64,
     protocol_errors: AtomicU64,
     decompose_ns: AtomicU64,
@@ -120,7 +105,6 @@ impl ServerStats {
             requests: self.requests.load(Ordering::Relaxed),
             masks_served: self.masks_served.load(Ordering::Relaxed),
             exec_batches: self.exec_batches.load(Ordering::Relaxed),
-            coalesced_masks: self.coalesced_masks.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             decompose_ns: self.decompose_ns.load(Ordering::Relaxed),
@@ -134,7 +118,7 @@ impl ServerStats {
 
 /// One admitted `QUERY`/`BATCH` request waiting for an executor.
 struct ExecJob {
-    /// Connection token on the owning loop.
+    /// Connection token on the event loop.
     token: u64,
     /// Response-slot sequence number on that connection.
     seq: u64,
@@ -149,40 +133,34 @@ struct ExecJob {
     t_parse_ns: u64,
 }
 
-/// A coalesced batch submitted by one event loop.
-struct ExecBatch {
-    loop_id: usize,
-    jobs: Vec<ExecJob>,
-}
+/// An encoded response an executor hands back to the loop:
+/// `(token, seq, frame, trace_id)` — the trace id (or `0`) rides along so
+/// the loop can emit the write-flush span.
+type Completion = (u64, u64, Vec<u8>, u64);
 
-/// Encoded response frames an executor hands back to a loop: one entry
-/// per job, `(token, seq, frame, trace_id)` — the trace id (or `0`)
-/// rides along so the loop can emit the write-flush span.
-type BatchDone = Vec<(u64, u64, Vec<u8>, u64)>;
-
-/// MPMC batch queue feeding the executor pool.
+/// MPMC job queue feeding the executor pool.
 #[derive(Default)]
 struct ExecQueue {
-    state: Mutex<(VecDeque<ExecBatch>, bool)>,
+    state: Mutex<(VecDeque<ExecJob>, bool)>,
     cv: Condvar,
 }
 
 impl ExecQueue {
-    fn push(&self, batch: ExecBatch) {
+    fn push(&self, job: ExecJob) {
         self.state
             .lock()
             .expect("exec queue poisoned")
             .0
-            .push_back(batch);
+            .push_back(job);
         self.cv.notify_one();
     }
 
-    /// Blocks for the next batch; `None` on shutdown with an empty queue.
-    fn pop(&self) -> Option<ExecBatch> {
+    /// Blocks for the next job; `None` on shutdown with an empty queue.
+    fn pop(&self) -> Option<ExecJob> {
         let mut st = self.state.lock().expect("exec queue poisoned");
         loop {
-            if let Some(b) = st.0.pop_front() {
-                return Some(b);
+            if let Some(job) = st.0.pop_front() {
+                return Some(job);
             }
             if st.1 {
                 return None;
@@ -197,13 +175,6 @@ impl ExecQueue {
     }
 }
 
-/// Per-event-loop mailbox: executors push completed batches here and
-/// kick the loop's eventfd.
-struct LoopShared {
-    wake: WakeFd,
-    completions: Mutex<Vec<BatchDone>>,
-}
-
 struct Shared {
     region: Arc<dyn QueryBackend>,
     stats: ServerStats,
@@ -213,7 +184,10 @@ struct Shared {
     /// Jobs admitted but not yet popped by an executor (the bounded
     /// admission gate: at `queue_cap` further queries shed with `BUSY`).
     admitted: AtomicU64,
-    loops: Vec<Arc<LoopShared>>,
+    /// The event loop's mailbox: executors push completed jobs here and
+    /// kick `wake`.
+    completions: Mutex<Vec<Completion>>,
+    wake: WakeFd,
     /// Monotonic start instant (uptime reported by `HEALTH`).
     started: Instant,
     /// Start time in seconds since the Unix epoch (reported by `HEALTH`).
@@ -252,7 +226,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    loops: Vec<JoinHandle<()>>,
+    event_loop: JoinHandle<()>,
     executors: Vec<JoinHandle<()>>,
 }
 
@@ -268,17 +242,13 @@ impl ServerHandle {
     }
 
     /// Stops accepting, closes every connection and joins all threads.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         o4a_obs::info!("serve", "shutting down"; addr = self.addr);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.exec_queue.shutdown();
-        for ls in &self.shared.loops {
-            ls.wake.wake();
-        }
-        for h in self.loops.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.executors.drain(..) {
+        self.shared.wake.wake();
+        let _ = self.event_loop.join();
+        for h in self.executors {
             let _ = h.join();
         }
     }
@@ -295,15 +265,6 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let workers = cfg.workers.max(1);
-    let n_loops = cfg.event_loops.max(1);
-    let loops: Vec<Arc<LoopShared>> = (0..n_loops)
-        .map(|_| {
-            Ok(Arc::new(LoopShared {
-                wake: WakeFd::new()?,
-                completions: Mutex::new(Vec::new()),
-            }))
-        })
-        .collect::<std::io::Result<_>>()?;
     let shared = Arc::new(Shared {
         region,
         stats: ServerStats::default(),
@@ -311,7 +272,8 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
         cfg,
         exec_queue: ExecQueue::default(),
         admitted: AtomicU64::new(0),
-        loops,
+        completions: Mutex::new(Vec::new()),
+        wake: WakeFd::new()?,
         started: Instant::now(),
         started_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -319,14 +281,16 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
             .unwrap_or(0),
         next_request_id: AtomicU64::new(1),
     });
+    let poller = Poller::new()?;
+    poller.add(shared.wake.raw_fd(), TOK_WAKE, Interest::READ)?;
+    poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
     // Pre-register the registry metrics so a scrape of an idle server
     // already exposes them at zero (the call sites below would otherwise
     // register them lazily on first use).
     let _ = request_ns_histogram();
     let _ = queue_depth_gauge();
     let _ = backpressure_counter();
-    let _ = batch_masks_histogram();
-    o4a_obs::info!("serve", "listening"; addr = addr, workers = workers, loops = n_loops);
+    o4a_obs::info!("serve", "listening"; addr = addr, workers = workers);
 
     let executors: Vec<JoinHandle<()>> = (0..workers)
         .map(|i| {
@@ -338,22 +302,18 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
         })
         .collect();
 
-    let mut listener = Some(listener);
-    let loop_threads: Vec<JoinHandle<()>> = (0..n_loops)
-        .map(|i| {
-            let shared = shared.clone();
-            let listener = listener.take();
-            std::thread::Builder::new()
-                .name(format!("o4a-loop-{i}"))
-                .spawn(move || EventLoop::run(i, &shared, listener))
-                .expect("spawn event loop")
-        })
-        .collect();
+    let event_loop = {
+        let shared = shared.clone();
+        std::thread::Builder::new()
+            .name("o4a-loop".into())
+            .spawn(move || EventLoop::run(&shared, poller, listener))
+            .expect("spawn event loop")
+    };
 
     Ok(ServerHandle {
         addr,
         shared,
-        loops: loop_threads,
+        event_loop,
         executors,
     })
 }
@@ -386,196 +346,139 @@ fn backpressure_counter() -> &'static o4a_obs::Counter {
     )
 }
 
-/// Masks per submitted executor batch (coalescing effectiveness).
-fn batch_masks_histogram() -> &'static o4a_obs::Histogram {
-    o4a_obs::histogram!(
-        "o4a_exec_batch_masks",
-        "masks folded into one executor batch submission"
-    )
+/// Emits one trace span on lane 0: the server has one event loop, and
+/// its executors' spans share its lane.
+fn span(trace_id: u64, kind: SpanKind, parent: u16, t_start_ns: u64, t_end_ns: u64, bytes: u64) {
+    trace::emit(&SpanEvent {
+        trace_id,
+        span: kind as u16,
+        parent,
+        lane: 0,
+        t_start_ns,
+        t_end_ns,
+        bytes,
+    });
 }
 
-fn executor_loop(shared: &Arc<Shared>) {
-    while let Some(batch) = shared.exec_queue.pop() {
-        let n = batch.jobs.len() as u64;
-        let prev = shared.admitted.fetch_sub(n, Ordering::Relaxed);
-        queue_depth_gauge().set(prev.saturating_sub(n) as f64);
-        let done: BatchDone = if shared.region.is_ready() {
-            run_batch(shared, &batch)
+fn executor_loop(shared: &Shared) {
+    while let Some(job) = shared.exec_queue.pop() {
+        let prev = shared.admitted.fetch_sub(1, Ordering::Relaxed);
+        queue_depth_gauge().set(prev.saturating_sub(1) as f64);
+        let (token, seq, trace_id) = (job.token, job.seq, job.trace_id);
+        let frame = if shared.region.is_ready() {
+            run_job(shared, job)
         } else {
-            batch
-                .jobs
-                .iter()
-                .map(|job| {
-                    let frame = wire::encode_response(&Response::Error(
-                        "no prediction snapshot published".into(),
-                    ));
-                    (job.token, job.seq, frame, job.trace_id)
-                })
-                .collect()
+            wire::encode_response(&Response::Error("no prediction snapshot published".into()))
         };
-        let ls = &shared.loops[batch.loop_id];
-        ls.completions
-            .lock()
-            .expect("completions poisoned")
-            .push(done);
-        ls.wake.wake();
+        let mut mailbox = shared.completions.lock().expect("completions poisoned");
+        // a non-empty mailbox already has a wake pending: the loop takes
+        // the whole mailbox under this lock after draining the eventfd
+        let was_empty = mailbox.is_empty();
+        mailbox.push((token, seq, frame, trace_id));
+        drop(mailbox);
+        if was_empty {
+            shared.wake.wake();
+        }
     }
 }
 
-/// Answers one coalesced batch with a single backend call and encodes the
-/// per-job response frames.
-fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
-    let all: Vec<Mask> = batch
-        .jobs
-        .iter()
-        .flat_map(|j| j.masks.iter().cloned())
-        .collect();
-    // A batch's executor-side spans are attributed to the first sampled
-    // job's trace id (an untraced batch — the common case — skips every
-    // clock read below).
-    let batch_tid = batch
-        .jobs
-        .iter()
-        .map(|j| j.trace_id)
-        .find(|&t| t != 0)
-        .unwrap_or(0);
+/// Answers one job with a single backend call and encodes its response
+/// frame.
+fn run_job(shared: &Shared, job: ExecJob) -> Vec<u8> {
+    let tid = job.trace_id;
+    let n = job.masks.len() as u64;
     let t_exec = Instant::now();
-    let t_exec_ns = if batch_tid != 0 { trace::now_ns() } else { 0 };
-    if batch_tid != 0 {
-        for job in &batch.jobs {
-            if job.trace_id != 0 {
-                trace::emit(&SpanEvent {
-                    trace_id: job.trace_id,
-                    span: SpanKind::QueueWait as u16,
-                    parent: SpanKind::Request as u16,
-                    lane: batch.loop_id as u32,
-                    t_start_ns: job.t_parse_ns,
-                    t_end_ns: t_exec_ns,
-                    bytes: job.masks.len() as u64,
-                });
-            }
-        }
+    // an untraced job — the common case — skips every trace clock read
+    let t_exec_ns = if tid != 0 { trace::now_ns() } else { 0 };
+    if tid != 0 {
+        span(
+            tid,
+            SpanKind::QueueWait,
+            SpanKind::Request as u16,
+            job.t_parse_ns,
+            t_exec_ns,
+            n,
+        );
         // backends key their per-stage spans (shard scatter/gather,
         // lookup/aggregate) off the calling thread's current trace id
-        trace::set_current(batch_tid);
+        trace::set_current(tid);
     }
-    let (values, timing) = shared.region.query_many_timed(&all);
+    let (values, timing) = shared.region.query_many_timed(&job.masks);
     let timing = TimingNs {
         decompose_ns: timing.decompose.as_nanos() as u64,
         index_ns: timing.index.as_nanos() as u64,
     };
-    if batch_tid != 0 {
+    if tid != 0 {
         trace::set_current(0);
-        let t_done_ns = trace::now_ns();
-        trace::emit(&SpanEvent {
-            trace_id: batch_tid,
-            span: SpanKind::ExecBatch as u16,
-            parent: SpanKind::Request as u16,
-            lane: batch.loop_id as u32,
-            t_start_ns: t_exec_ns,
-            t_end_ns: t_done_ns,
-            bytes: all.len() as u64,
-        });
+        let exec = SpanKind::ExecBatch as u16;
+        span(
+            tid,
+            SpanKind::ExecBatch,
+            SpanKind::Request as u16,
+            t_exec_ns,
+            trace::now_ns(),
+            n,
+        );
         // Derived stage events: their durations are the *same* u64
         // nanosecond values added to the STATS counters below, so a
         // drained trace's decompose/index sums reconcile bit-exactly
-        // with STATS (the measured spans above are wall-clock and
-        // include fan-out overhead the backend doesn't attribute).
-        trace::emit(&SpanEvent {
-            trace_id: batch_tid,
-            span: SpanKind::Decompose as u16,
-            parent: SpanKind::ExecBatch as u16,
-            lane: batch.loop_id as u32,
-            t_start_ns: t_exec_ns,
-            t_end_ns: t_exec_ns + timing.decompose_ns,
-            bytes: all.len() as u64,
-        });
-        trace::emit(&SpanEvent {
-            trace_id: batch_tid,
-            span: SpanKind::Index as u16,
-            parent: SpanKind::ExecBatch as u16,
-            lane: batch.loop_id as u32,
-            t_start_ns: t_exec_ns + timing.decompose_ns,
-            t_end_ns: t_exec_ns + timing.decompose_ns + timing.index_ns,
-            bytes: all.len() as u64,
-        });
+        // with STATS (the measured span above is wall-clock and
+        // includes fan-out overhead the backend doesn't attribute).
+        let t_index_ns = t_exec_ns + timing.decompose_ns;
+        span(tid, SpanKind::Decompose, exec, t_exec_ns, t_index_ns, n);
+        span(
+            tid,
+            SpanKind::Index,
+            exec,
+            t_index_ns,
+            t_index_ns + timing.index_ns,
+            n,
+        );
     }
-    shared.stats.exec_batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .masks_served
-        .fetch_add(all.len() as u64, Ordering::Relaxed);
-    if batch.jobs.len() > 1 {
-        shared
-            .stats
-            .coalesced_masks
-            .fetch_add(all.len() as u64, Ordering::Relaxed);
-    }
-    shared
-        .stats
+    let stats = &shared.stats;
+    stats.exec_batches.fetch_add(1, Ordering::Relaxed);
+    stats.masks_served.fetch_add(n, Ordering::Relaxed);
+    stats
         .decompose_ns
         .fetch_add(timing.decompose_ns, Ordering::Relaxed);
-    shared
-        .stats
-        .index_ns
-        .fetch_add(timing.index_ns, Ordering::Relaxed);
+    stats.index_ns.fetch_add(timing.index_ns, Ordering::Relaxed);
+    let resp = if job.single {
+        Response::Prediction {
+            value: values[0],
+            timing,
+        }
+    } else {
+        Response::BatchResult { values, timing }
+    };
+    let total_ns = job.t_start.elapsed().as_nanos() as u64;
+    if tid != 0 {
+        // root span: parse to response-encode, matching the
+        // `o4a_serve_request_ns` histogram's interval
+        span(
+            tid,
+            SpanKind::Request,
+            0,
+            job.t_parse_ns,
+            trace::now_ns(),
+            n,
+        );
+    }
     let slow_ns = trace::slow_threshold_ns();
-    let mut off = 0usize;
-    batch
-        .jobs
-        .iter()
-        .map(|job| {
-            let slice = &values[off..off + job.masks.len()];
-            off += job.masks.len();
-            let resp = if job.single {
-                Response::Prediction {
-                    value: slice[0],
-                    timing,
-                }
-            } else {
-                Response::BatchResult {
-                    values: slice.to_vec(),
-                    timing,
-                }
-            };
-            let total_ns = job.t_start.elapsed().as_nanos() as u64;
-            if job.trace_id != 0 {
-                // root span: parse to response-encode, matching the
-                // `o4a_serve_request_ns` histogram's interval
-                trace::emit(&SpanEvent {
-                    trace_id: job.trace_id,
-                    span: SpanKind::Request as u16,
-                    parent: 0,
-                    lane: batch.loop_id as u32,
-                    t_start_ns: job.t_parse_ns,
-                    t_end_ns: trace::now_ns(),
-                    bytes: job.masks.len() as u64,
-                });
-            }
-            if slow_ns != 0 && total_ns >= slow_ns {
-                o4a_obs::warn_limited!("serve", "slow request";
-                    total_us = total_ns / 1_000,
-                    queue_us = t_exec.saturating_duration_since(job.t_start).as_micros() as u64,
-                    decompose_us = timing.decompose_ns / 1_000,
-                    index_us = timing.index_ns / 1_000,
-                    masks = job.masks.len(),
-                    batch_masks = all.len(),
-                    loop_id = batch.loop_id,
-                    trace_id = job.trace_id,
-                );
-            }
-            request_ns_histogram().record(total_ns);
-            (
-                job.token,
-                job.seq,
-                wire::encode_response(&resp),
-                job.trace_id,
-            )
-        })
-        .collect()
+    if slow_ns != 0 && total_ns >= slow_ns {
+        o4a_obs::warn_limited!("serve", "slow request";
+            total_us = total_ns / 1_000,
+            queue_us = t_exec.saturating_duration_since(job.t_start).as_micros() as u64,
+            decompose_us = timing.decompose_ns / 1_000,
+            index_us = timing.index_ns / 1_000,
+            masks = n,
+            trace_id = tid,
+        );
+    }
+    request_ns_histogram().record(total_ns);
+    wire::encode_response(&resp)
 }
 
-/// Per-connection state machine on an event loop.
+/// Per-connection state machine on the event loop.
 struct Conn {
     stream: TcpStream,
     assembler: wire::FrameAssembler,
@@ -639,80 +542,52 @@ impl Conn {
     }
 }
 
-/// Listener token (loop 0 only).
+/// Listener token.
 const TOK_LISTENER: u64 = 0;
 /// Wake-eventfd token.
 const TOK_WAKE: u64 = 1;
 /// First connection token.
 const TOK_CONN0: u64 = 2;
 
-/// Socket read scratch per loop: one pooled buffer recycled across every
-/// read on the loop thread.
+/// Socket read scratch: one pooled buffer recycled across every read on
+/// the loop thread.
 const READ_BUF_BYTES: usize = 16 * 1024;
 
 struct EventLoop<'a> {
-    loop_id: usize,
-    shared: &'a Arc<Shared>,
+    shared: &'a Shared,
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Admitted jobs waiting to be submitted as a batch.
-    pending: Vec<ExecJob>,
-    /// When the oldest pending job was admitted (coalesce deadline base).
-    pending_since: Option<Instant>,
-    /// Batches submitted to the executors and not yet completed.
-    in_flight: usize,
     hier: o4a_grid::hierarchy::Hierarchy,
 }
 
 impl EventLoop<'_> {
-    fn run(loop_id: usize, shared: &Arc<Shared>, listener: Option<TcpListener>) {
-        let poller = match Poller::new() {
-            Ok(p) => p,
-            Err(e) => {
-                o4a_obs::warn!("serve", "epoll unavailable, loop {} down: {}", loop_id, e);
-                return;
-            }
-        };
-        let ls = &shared.loops[loop_id];
-        poller
-            .add(ls.wake.raw_fd(), TOK_WAKE, Interest::READ)
-            .expect("register wakefd");
-        if let Some(l) = &listener {
-            poller
-                .add(l.as_raw_fd(), TOK_LISTENER, Interest::READ)
-                .expect("register listener");
-        }
+    /// Runs the loop on a poller with the wake eventfd and `listener`
+    /// already registered.
+    fn run(shared: &Shared, poller: Poller, listener: TcpListener) {
         let mut el = EventLoop {
-            loop_id,
             shared,
             poller,
             conns: HashMap::new(),
             next_token: TOK_CONN0,
-            pending: Vec::new(),
-            pending_since: None,
-            in_flight: 0,
             hier: shared.region.hierarchy().clone(),
         };
-        // Event-loop internals as first-class metrics, one pair per loop:
-        // how long each epoll_wait blocked and how many readiness events
-        // each wake delivered (0 = coalesce-deadline timeout).
-        let epoll_wait_hist = o4a_obs::metrics::global().histogram(
-            &format!("o4a_loop{loop_id}_epoll_wait_ns"),
-            "time blocked in epoll_wait per wake on this event loop",
+        // Event-loop internals as first-class metrics: how long each
+        // epoll_wait blocked and how many readiness events each wake
+        // delivered.
+        let epoll_wait_hist = o4a_obs::histogram!(
+            "o4a_loop0_epoll_wait_ns",
+            "time blocked in epoll_wait per wake on the event loop"
         );
-        let ready_events_hist = o4a_obs::metrics::global().histogram(
-            &format!("o4a_loop{loop_id}_ready_events"),
-            "readiness events delivered per epoll wake on this event loop",
+        let ready_events_hist = o4a_obs::histogram!(
+            "o4a_loop0_ready_events",
+            "readiness events delivered per epoll wake on the event loop"
         );
         let mut rbuf = PooledBuf::with_capacity(READ_BUF_BYTES);
         let mut events = Vec::new();
         loop {
-            let timeout = el
-                .pending_since
-                .map(|t0| shared.cfg.coalesce_window.saturating_sub(t0.elapsed()));
             let t_wait = Instant::now();
-            let n_ready = match el.poller.wait(&mut events, timeout) {
+            let n_ready = match el.poller.wait(&mut events, None) {
                 Ok(n) => n,
                 Err(_) => break,
             };
@@ -723,20 +598,15 @@ impl EventLoop<'_> {
             }
             for ev in &events {
                 match ev.token {
-                    TOK_LISTENER => {
-                        if let Some(l) = &listener {
-                            el.accept_ready(l);
-                        }
-                    }
-                    TOK_WAKE => shared.loops[loop_id].wake.drain(),
+                    TOK_LISTENER => el.accept_ready(&listener),
+                    TOK_WAKE => shared.wake.drain(),
                     token => el.conn_ready(token, ev.readable, ev.writable, &mut rbuf),
                 }
             }
             el.drain_completions();
-            el.flush_pending();
         }
         // Cooperative close: dropping the map closes every socket, and
-        // dropping the listener (loop 0) makes further connects refuse.
+        // dropping the listener makes further connects refuse.
         el.conns.clear();
     }
 
@@ -931,7 +801,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Admits a query into the pending list, or answers `Error`/`BUSY`
+    /// Admits a query onto the executor queue, or answers `Error`/`BUSY`
     /// inline (wrong raster / admission gate full).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_query(
@@ -970,7 +840,7 @@ impl EventLoop<'_> {
                 .fetch_add(1, Ordering::Relaxed);
             // rate-limited: an overload sheds thousands of these a second
             o4a_obs::warn_limited!("serve", "admission queue full, shedding with BUSY";
-                queue_cap = cap, loop_id = self.loop_id);
+                queue_cap = cap);
             conn.fill(seq, wire::encode_response(&Response::Busy));
             request_ns_histogram().record(t_start.elapsed().as_nanos() as u64);
             return;
@@ -981,22 +851,21 @@ impl EventLoop<'_> {
         let trace_id = trace::mint();
         let t_parse_ns = if trace_id != 0 {
             let now = trace::now_ns();
-            trace::emit(&SpanEvent {
+            span(
                 trace_id,
-                span: SpanKind::Assemble as u16,
-                parent: SpanKind::Request as u16,
-                lane: self.loop_id as u32,
+                SpanKind::Assemble,
+                SpanKind::Request as u16,
                 // 0 means sampling flipped on mid-chunk; degrade to an
                 // empty span instead of one starting at the epoch
-                t_start_ns: if t_rx_ns != 0 { t_rx_ns } else { now },
-                t_end_ns: now,
-                bytes: masks.len() as u64,
-            });
+                if t_rx_ns != 0 { t_rx_ns } else { now },
+                now,
+                masks.len() as u64,
+            );
             now
         } else {
             0
         };
-        self.pending.push(ExecJob {
+        self.shared.exec_queue.push(ExecJob {
             token,
             seq,
             masks,
@@ -1005,80 +874,41 @@ impl EventLoop<'_> {
             trace_id,
             t_parse_ns,
         });
-        if self.pending_since.is_none() {
-            self.pending_since = Some(Instant::now());
-        }
     }
 
-    /// Routes completed batches back to their connections.
+    /// Routes completed jobs back to their connections.
     fn drain_completions(&mut self) {
-        let done: Vec<BatchDone> = {
-            let mut guard = self.shared.loops[self.loop_id]
+        let done = std::mem::take(
+            &mut *self
+                .shared
                 .completions
                 .lock()
-                .expect("completions poisoned");
-            std::mem::take(&mut *guard)
-        };
-        for batch in done {
-            self.in_flight -= 1;
-            for (token, seq, frame, trace_id) in batch {
-                // the connection may have died while its query ran
-                let Some(mut conn) = self.conns.remove(&token) else {
-                    continue;
-                };
-                let t_fill_ns = if trace_id != 0 { trace::now_ns() } else { 0 };
-                let frame_len = frame.len() as u64;
-                conn.fill(seq, frame);
-                let ok = self.flush_writes(token, &mut conn);
-                if trace_id != 0 {
-                    trace::emit(&SpanEvent {
-                        trace_id,
-                        span: SpanKind::WriteFlush as u16,
-                        parent: SpanKind::Request as u16,
-                        lane: self.loop_id as u32,
-                        t_start_ns: t_fill_ns,
-                        t_end_ns: trace::now_ns(),
-                        bytes: frame_len,
-                    });
-                }
-                if ok && !conn.drained_for_close() {
-                    self.conns.insert(token, conn);
-                } else {
-                    self.teardown(conn);
-                }
+                .expect("completions poisoned"),
+        );
+        for (token, seq, frame, trace_id) in done {
+            // the connection may have died while its query ran
+            let Some(mut conn) = self.conns.remove(&token) else {
+                continue;
+            };
+            let t_fill_ns = if trace_id != 0 { trace::now_ns() } else { 0 };
+            let frame_len = frame.len() as u64;
+            conn.fill(seq, frame);
+            let ok = self.flush_writes(token, &mut conn);
+            if trace_id != 0 {
+                span(
+                    trace_id,
+                    SpanKind::WriteFlush,
+                    SpanKind::Request as u16,
+                    t_fill_ns,
+                    trace::now_ns(),
+                    frame_len,
+                );
             }
-        }
-    }
-
-    /// Submits pending jobs: immediately while an executor slot is free,
-    /// otherwise only once the coalesce deadline has passed (so arrivals
-    /// during a busy spell merge into fewer, larger batches).
-    fn flush_pending(&mut self) {
-        let workers = self.shared.cfg.workers.max(1);
-        let deadline_passed = self
-            .pending_since
-            .is_some_and(|t0| t0.elapsed() >= self.shared.cfg.coalesce_window);
-        while !self.pending.is_empty() && (self.in_flight < workers || deadline_passed) {
-            let max_masks = self.shared.cfg.max_batch_masks.max(1);
-            let mut take = 0usize;
-            let mut total = 0usize;
-            for job in &self.pending {
-                if take > 0 && total + job.masks.len() > max_masks {
-                    break;
-                }
-                total += job.masks.len();
-                take += 1;
+            if ok && !conn.drained_for_close() {
+                self.conns.insert(token, conn);
+            } else {
+                self.teardown(conn);
             }
-            let jobs: Vec<ExecJob> = self.pending.drain(..take).collect();
-            batch_masks_histogram().record(total as u64);
-            self.shared.exec_queue.push(ExecBatch {
-                loop_id: self.loop_id,
-                jobs,
-            });
-            self.in_flight += 1;
-        }
-        if self.pending.is_empty() {
-            self.pending_since = None;
         }
     }
 
@@ -1108,7 +938,7 @@ impl EventLoop<'_> {
                 // one slow reader can flap this every flush)
                 backpressure_counter().inc();
                 o4a_obs::warn_limited!("serve", "write queue backed up, arming EPOLLOUT";
-                    queued_frames = conn.wq.len(), loop_id = self.loop_id);
+                    queued_frames = conn.wq.len());
             }
             let interest = if need {
                 Interest::READ_WRITE

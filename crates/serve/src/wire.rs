@@ -207,11 +207,9 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Masks answered (a batch of n counts n).
     pub masks_served: u64,
-    /// `query_many` executions (each may serve several coalesced
-    /// requests).
+    /// Executor jobs run: one `query_many` execution per admitted
+    /// `QUERY` or `BATCH`.
     pub exec_batches: u64,
-    /// Masks that shared an execution batch with another request.
-    pub coalesced_masks: u64,
     /// Requests shed with `BUSY` (admission queue full).
     pub busy_rejections: u64,
     /// Malformed frames received.
@@ -303,9 +301,7 @@ stats_rows! {
     masks_served: Counter "o4a_serve_masks_served_total"
         "masks answered by the query server (a batch of n counts n)";
     exec_batches: Counter "o4a_serve_exec_batches_total"
-        "query_many executions run by the executors";
-    coalesced_masks: Counter "o4a_serve_coalesced_masks_total"
-        "masks that shared an execution batch with another request";
+        "query_many executions run by the executors, one per admitted query";
     busy_rejections: Counter "o4a_serve_busy_total"
         "requests shed with BUSY because the admission queue was full";
     protocol_errors: Counter "o4a_serve_protocol_errors_total"
@@ -1003,7 +999,6 @@ mod tests {
                 requests: 1000,
                 masks_served: 4000,
                 exec_batches: 120,
-                coalesced_masks: 3900,
                 busy_rejections: 7,
                 protocol_errors: 2,
                 decompose_ns: 1,

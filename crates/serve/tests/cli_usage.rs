@@ -24,6 +24,10 @@ fn serve_help_and_bad_flags_exit_2_with_usage() {
     assert_usage_exit(bin, &["--side", "16", "--layers", "9"]);
     assert_usage_exit(bin, &["--side", "0"]);
     assert_usage_exit(bin, &["--ensemble", "2", "--side", "12", "--layers", "4"]);
+    // serve has no coalescing window, batch cap or loop count to set
+    assert_usage_exit(bin, &["--window-us", "500"]);
+    assert_usage_exit(bin, &["--max-batch", "8"]);
+    assert_usage_exit(bin, &["--loops", "2"]);
 }
 
 fn assert_error_exit(bin: &str, args: &[&str]) {

@@ -119,7 +119,7 @@ fn health_and_stats_roundtrip() {
 /// round-trips dominate it.
 #[test]
 fn single_mask_served_latency_does_not_regress() {
-    let (region, handle) = start(|cfg| cfg.coalesce_window = Duration::from_millis(0));
+    let (region, handle) = start(|_| {});
     let mask = Mask::rect(SIDE, SIDE, 3, 2, 9, 11);
     let median = |mut samples: Vec<Duration>| -> Duration {
         samples.sort();
@@ -290,11 +290,8 @@ fn zero_capacity_queue_sheds_load_with_busy() {
 }
 
 #[test]
-fn concurrent_clients_coalesce_and_bit_match() {
-    let (region, handle) = start(|cfg| {
-        cfg.workers = 2;
-        cfg.coalesce_window = Duration::from_millis(2);
-    });
+fn concurrent_clients_bit_match() {
+    let (region, handle) = start(|cfg| cfg.workers = 2);
     let masks = query_masks();
     let addr = handle.addr();
     let results: Vec<Vec<(Mask, f32)>> = std::thread::scope(|s| {
@@ -324,14 +321,59 @@ fn concurrent_clients_coalesce_and_bit_match() {
     }
     let stats = handle.stats();
     assert_eq!(stats.masks_served as usize, masks.len());
-    // Coalescing must have merged at least some requests: fewer executor
-    // batches than masks (4 threads + a 2ms window make this robust).
-    assert!(
-        stats.exec_batches < stats.masks_served,
-        "no coalescing: {} batches for {} masks",
-        stats.exec_batches,
-        stats.masks_served
-    );
+    // Every request is a single QUERY, and each runs as its own
+    // executor job.
+    assert_eq!(stats.exec_batches, stats.masks_served);
+    handle.shutdown();
+}
+
+/// One write carrying 32 pipelined QUERY frames interleaved with HEALTH
+/// and STATS, plus a BATCH: two executors may finish the queries out of
+/// order, but the responses must come back in request order, each value
+/// bit-identical to the in-process answer.
+#[test]
+fn pipelined_responses_arrive_in_request_order() {
+    let (region, handle) = start(|cfg| cfg.workers = 2);
+    let masks = query_masks();
+    let mut requests = Vec::new();
+    assert!(masks.len() >= 32);
+    for (i, mask) in masks.iter().take(32).enumerate() {
+        requests.push(Request::Query(mask.clone()));
+        match i % 4 {
+            0 => requests.push(Request::Health),
+            2 => requests.push(Request::Stats),
+            _ => {}
+        }
+        if i == 16 {
+            requests.push(Request::Batch(masks[..16].to_vec()));
+        }
+    }
+    let buf: Vec<u8> = requests.iter().flat_map(encode_request).collect();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&buf).unwrap();
+    for (i, req) in requests.iter().enumerate() {
+        let (verb, payload) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).unwrap();
+        let resp = o4a_serve::wire::decode_response(verb, &payload).unwrap();
+        match (req, resp) {
+            (Request::Query(mask), Response::Prediction { value, .. }) => {
+                assert_eq!(
+                    value.to_bits(),
+                    region.query(mask).to_bits(),
+                    "response {i} answers another query"
+                );
+            }
+            (Request::Batch(batch), Response::BatchResult { values, .. }) => {
+                let want: Vec<u32> = batch.iter().map(|m| region.query(m).to_bits()).collect();
+                let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "response {i}: batch values differ");
+            }
+            (Request::Health, Response::Health(_)) | (Request::Stats, Response::Stats(_)) => {}
+            (req, resp) => panic!("response {i} out of order: {resp:?} for {req:?}"),
+        }
+    }
     handle.shutdown();
 }
 

@@ -290,7 +290,7 @@ echo "==> METRICS exposition smoke"
 for metric in o4a_serve_requests_total o4a_serve_busy_total \
     o4a_serve_protocol_errors_total o4a_serve_connections_total \
     o4a_serve_masks_served_total o4a_serve_exec_batches_total \
-    o4a_serve_coalesced_masks_total o4a_serve_decompose_ns_total \
+    o4a_serve_decompose_ns_total \
     o4a_serve_index_ns_total o4a_compiled_terms_total \
     o4a_query_decompose_ns_bucket \
     o4a_query_lookup_ns_count o4a_query_aggregate_ns_sum \
@@ -298,8 +298,7 @@ for metric in o4a_serve_requests_total o4a_serve_busy_total \
     o4a_plan_cache_entries o4a_compiled_terms_bucket \
     o4a_isa_active o4a_isa_feature_avx2 \
     o4a_loop0_epoll_wait_ns_bucket o4a_loop0_ready_events_count \
-    o4a_exec_queue_depth o4a_serve_backpressure_total \
-    o4a_exec_batch_masks_sum; do
+    o4a_exec_queue_depth o4a_serve_backpressure_total; do
     grep -q "^$metric" "$SMOKE_DIR/metrics.prom" \
         || { echo "metrics.prom is missing $metric"; exit 1; }
 done
